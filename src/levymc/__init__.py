@@ -53,10 +53,7 @@ from .sampling import (
     sample_gamma,
     sample_inverse_gaussian,
     sample_standard_normal,
-    simulate_nig_paths,
     simulate_paths,
-    simulate_vg_paths_bgss,
-    simulate_vg_paths_dg,
 )
 from .special_fn import QuadratureSpec, bessel_k, find_root, integrate, log_gamma
 
@@ -102,10 +99,7 @@ __all__ = [
     "sample_gamma",
     "sample_inverse_gaussian",
     "sample_standard_normal",
-    "simulate_nig_paths",
     "simulate_paths",
-    "simulate_vg_paths_bgss",
-    "simulate_vg_paths_dg",
     "vg_char_function",
     "vg_cumulant",
     "vg_density",

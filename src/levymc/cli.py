@@ -21,7 +21,7 @@ from typing import Sequence, Union
 from .levy_models import NigParams, VgMeanVarianceParams, VgParams
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
 from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, Payoff, european_call_nig_closed
-from .sampling import PathGrid, simulate_paths
+from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, simulate_paths
 
 __all__ = [
     "ConfigError",
@@ -40,8 +40,9 @@ CSV_HEADER = [
     "n_paths", "seed", "price", "std_error", "ci_lo", "ci_hi", "closed_form", "status",
 ]
 
-_MODEL_SCHEMES = {"nig": ("ig",), "vg": ("bgss", "dg")}
 _PAYOFF_KINDS = (EUROPEAN_CALL, ASIAN_CALL)
+_FIELDS = ("model", "params", "measure", "scheme", "market", "strikes",
+           "payoff", "s", "n_paths", "seed", "workers", "out")
 
 DEFAULT_N_STEPS = 16
 DEFAULT_N_PATHS = 10000
@@ -115,7 +116,15 @@ def _as_list(value, path: str) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _as_choice(value, choices, path: str) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{path}: expected one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def _build_params(model: str, raw: dict, path: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {raw!r}")
     try:
         if model == "nig":
             return NigParams(
@@ -153,22 +162,24 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Validate a JSON-shaped mapping into a RunConfig; errors carry field paths."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    model = _require(doc, "model", "config")
-    if model not in _MODEL_SCHEMES:
-        raise ConfigError(f"config.model: expected 'nig' or 'vg', got {model!r}")
+    for key in doc:
+        if key not in _FIELDS:
+            raise ConfigError(f"config.{key}: unknown field")
+    model = _as_choice(_require(doc, "model", "config"), tuple(MODEL_SCHEMES), "config.model")
 
     params = _build_params(model, _require(doc, "params", "config"), "config.params")
 
-    measures = tuple(m.replace("-", "_") for m in _as_list(doc.get("measure", ESSCHER), "config.measure"))
-    for m in measures:
-        if m not in (ESSCHER, MEAN_CORRECT):
-            raise ConfigError(f"config.measure: expected 'esscher' or 'mean_correct', got {m!r}")
+    measures = tuple(
+        _as_choice(m.replace("-", "_") if isinstance(m, str) else m, (ESSCHER, MEAN_CORRECT), "config.measure")
+        for m in _as_list(doc.get("measure", ESSCHER), "config.measure")
+    )
 
-    schemes = tuple(_as_list(doc.get("scheme", _MODEL_SCHEMES[model][0]), "config.scheme"))
+    schemes = tuple(
+        _as_choice(sch, tuple(SCHEMES), "config.scheme")
+        for sch in _as_list(doc.get("scheme", MODEL_SCHEMES[model][0]), "config.scheme")
+    )
     for sch in schemes:
-        if sch not in ("ig", "bgss", "dg"):
-            raise ConfigError(f"config.scheme: expected 'ig', 'bgss' or 'dg', got {sch!r}")
-        if sch not in _MODEL_SCHEMES[model]:
+        if sch not in MODEL_SCHEMES[model]:
             raise ConfigError(f"config.scheme: scheme {sch!r} is incompatible with model {model!r}")
 
     mkt = _require(doc, "market", "config")
@@ -193,9 +204,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         if k < 0:
             raise ConfigError(f"config.strikes[{i}]: strike must be >= 0, got {k}")
 
-    payoff_kind = doc.get("payoff", EUROPEAN_CALL)
-    if payoff_kind not in _PAYOFF_KINDS:
-        raise ConfigError(f"config.payoff: expected one of {_PAYOFF_KINDS}, got {payoff_kind!r}")
+    payoff_kind = _as_choice(doc.get("payoff", EUROPEAN_CALL), _PAYOFF_KINDS, "config.payoff")
 
     n_steps = _as_int(doc.get("s", DEFAULT_N_STEPS), "config.s")
     if n_steps < 1:
@@ -419,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="S", help="override the base seed")
     parser.add_argument("--out", metavar="CSV", help="output file (default: CSV to stdout)")
     parser.add_argument("--measure", choices=["esscher", "mean-correct"], help="restrict to one measure")
-    parser.add_argument("--scheme", choices=["bgss", "dg", "ig"], help="restrict to one simulation scheme")
+    parser.add_argument("--scheme", choices=sorted(SCHEMES), help="restrict to one simulation scheme")
     parser.add_argument("--workers", type=int, default=None, metavar="W", help="worker threads per simulation")
     return parser
 
@@ -440,7 +449,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.measure is not None:
         cfg = replace(cfg, measures=(args.measure.replace("-", "_"),))
     if args.scheme is not None:
-        if args.scheme not in _MODEL_SCHEMES[cfg.model]:
+        if args.scheme not in MODEL_SCHEMES[cfg.model]:
             raise ConfigError(f"--scheme: scheme {args.scheme!r} is incompatible with model {cfg.model!r}")
         cfg = replace(cfg, schemes=(args.scheme,))
     if args.out is not None:

@@ -203,11 +203,6 @@ def vg_cumulant(p: VgParams, theta: float) -> float:
     return p.x0 * theta - p.lam * math.log1p(-quad_term / p.gamma_rate)
 
 
-def vg_mean_rate(p: VgParams) -> float:
-    """E[Y_1] = x0 + beta*lam/gamma_rate."""
-    return p.x0 + p.beta * p.lam / p.gamma_rate
-
-
 def vg_char_function(mv: VgMeanVarianceParams, u, t: float):
     """Characteristic function E[exp(i u Y_t)] of the unit-mean-clock VG (x0 = 0)."""
     ua = np.asarray(u, dtype=float)

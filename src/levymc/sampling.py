@@ -1,5 +1,10 @@
 """Seeded variate generation and path simulation.
 
+``simulate_paths(..., scheme=...)`` is the one path simulator.  ``SCHEMES``
+maps each scheme to the model kind it simulates and its per-step sampler; it
+is the only place where scheme/model compatibility is defined, and
+``MODEL_SCHEMES`` (each model's schemes, default first) is derived from it.
+
 Reproducibility model: every simulation consumes randomness through
 counter-based Philox streams keyed by (seed, block index).  Paths are
 generated in fixed-size blocks and written into their block positions, so the
@@ -14,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .levy_models import NigParams, VgMeanVarianceParams, VgParams, vg_to_mean_variance
+from .levy_models import VgMeanVarianceParams, vg_to_mean_variance
 from .measures import RiskNeutralModel
 
 __all__ = [
@@ -25,11 +30,9 @@ __all__ = [
     "sample_gamma",
     "sample_inverse_gaussian",
     "simulate_paths",
-    "simulate_nig_paths",
-    "simulate_vg_paths_bgss",
-    "simulate_vg_paths_dg",
     "dg_gamma_components",
     "SCHEMES",
+    "MODEL_SCHEMES",
 ]
 
 # Fixed stream-block width; not tunable, or identical seeds would stop
@@ -121,7 +124,6 @@ class PathSet:
 
     grid: PathGrid
     spots: np.ndarray
-    log_increments: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -132,108 +134,46 @@ class PathSet:
         return self.spots[:, -1]
 
 
-FillBlock = Callable[[np.random.Generator, int], np.ndarray]
+# (gen, count) -> one column of count log increments
+StepSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
-def _simulate_increment_blocks(
-    n_paths: int, seed: int, n_steps: int, fill_block: FillBlock, workers: int = 1
-) -> np.ndarray:
-    """Fill an (n_paths, n_steps) increment matrix block by block.
+def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
+    """NIG by inverse Gaussian subordination, exact in law at any step count.
 
-    Each block draws from its own (seed, block index) stream and lands in its
-    own slice, so worker scheduling cannot change the result.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    out = np.empty((n_paths, n_steps))
-    spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
-
-    def run(span: tuple[int, int, int]) -> None:
-        block_index, lo, hi = span
-        out[lo:hi] = fill_block(_philox(seed, block_index), hi - lo)
-
-    if workers <= 1 or len(spans) == 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    return out
-
-
-def _paths_from_increments(rnm: RiskNeutralModel, grid: PathGrid, inc: np.ndarray, keep_increments: bool) -> PathSet:
-    spots = rnm.market.s0 * np.exp(np.cumsum(inc, axis=1))
-    return PathSet(grid=grid, spots=spots, log_increments=inc if keep_increments else None)
-
-
-def simulate_nig_paths(
-    rnm: RiskNeutralModel,
-    grid: PathGrid,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-    keep_increments: bool = False,
-) -> PathSet:
-    """NIG paths by inverse Gaussian subordination.
-
-    Per step of width dt the log increment is
-    mu*dt + beta*z + sqrt(z)*N(0,1) + drift_rate*dt with
-    z ~ IG(delta*dt/sqrt(alpha^2 - beta^2), (delta*dt)^2), which reproduces
-    the NIG(alpha, beta, mu*dt, delta*dt) marginal exactly (no discretisation
-    bias at any step count).
+    Log increment (mu + drift_rate)*dt + beta*z + sqrt(z)*N(0,1) with
+    z ~ IG(delta*dt/sqrt(alpha^2 - beta^2), (delta*dt)^2).
     """
     p = rnm.model
-    if not isinstance(p, NigParams):
-        raise TypeError("simulate_nig_paths requires a NIG risk-neutral model")
-    dt = grid.dt
     ig_mean = p.delta * dt / p.gamma_bar
     ig_shape = (p.delta * dt) ** 2
     base = (p.mu + rnm.drift_rate) * dt
 
-    def fill(gen: np.random.Generator, count: int) -> np.ndarray:
-        inc = np.empty((count, grid.n_steps))
-        for j in range(grid.n_steps):
-            z = gen.wald(ig_mean, ig_shape, size=count)
-            eps = gen.standard_normal(count)
-            inc[:, j] = base + p.beta * z + np.sqrt(z) * eps
-        return inc
+    def step(gen: np.random.Generator, count: int) -> np.ndarray:
+        z = gen.wald(ig_mean, ig_shape, size=count)
+        eps = gen.standard_normal(count)
+        return base + p.beta * z + np.sqrt(z) * eps
 
-    increments = _simulate_increment_blocks(n_paths, seed, grid.n_steps, fill, workers)
-    return _paths_from_increments(rnm, grid, increments, keep_increments)
+    return step
 
 
-def simulate_vg_paths_bgss(
-    rnm: RiskNeutralModel,
-    grid: PathGrid,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-    keep_increments: bool = False,
-) -> PathSet:
-    """VG paths by Brownian-gamma sequential sampling.
+def _bgss_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
+    """VG by Brownian-gamma sequential sampling.
 
-    Per step: draw the gamma clock increment z ~ Gamma(lam*dt, gamma_rate),
-    then the conditional Gaussian move; log increment is
-    x0*dt + beta*z + sigma*sqrt(z)*N(0,1) + drift_rate*dt.
+    The clock z ~ Gamma(lam*dt, gamma_rate) first, then the log increment
+    (x0 + drift_rate)*dt + beta*z + sigma*sqrt(z)*N(0,1).
     """
     p = rnm.model
-    if not isinstance(p, VgParams):
-        raise TypeError("simulate_vg_paths_bgss requires a VG risk-neutral model")
-    dt = grid.dt
     clock_shape = p.lam * dt
     clock_scale = 1.0 / p.gamma_rate
     base = (p.x0 + rnm.drift_rate) * dt
 
-    def fill(gen: np.random.Generator, count: int) -> np.ndarray:
-        inc = np.empty((count, grid.n_steps))
-        for j in range(grid.n_steps):
-            z = gen.gamma(clock_shape, clock_scale, size=count)
-            eps = gen.standard_normal(count)
-            inc[:, j] = base + p.beta * z + p.sigma * np.sqrt(z) * eps
-        return inc
+    def step(gen: np.random.Generator, count: int) -> np.ndarray:
+        z = gen.gamma(clock_shape, clock_scale, size=count)
+        eps = gen.standard_normal(count)
+        return base + p.beta * z + p.sigma * np.sqrt(z) * eps
 
-    increments = _simulate_increment_blocks(n_paths, seed, grid.n_steps, fill, workers)
-    return _paths_from_increments(rnm, grid, increments, keep_increments)
+    return step
 
 
 def dg_gamma_components(mv: VgMeanVarianceParams) -> tuple[float, float, float, float]:
@@ -248,51 +188,37 @@ def dg_gamma_components(mv: VgMeanVarianceParams) -> tuple[float, float, float, 
     return mu_plus, mu_minus, mu_plus**2 * mv.nu, mu_minus**2 * mv.nu
 
 
-def simulate_vg_paths_dg(
-    rnm: RiskNeutralModel,
-    grid: PathGrid,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-    keep_increments: bool = False,
-) -> PathSet:
-    """VG paths as the difference of two independent gamma processes.
+def _dg_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
+    """VG as the difference of two gammas, same law as BGSS.
 
-    The model's gamma clock is first rescaled to unit mean rate; the two legs
-    then have per-step shapes mu+-^2*dt/nu+- and rates mu+-/nu+-.  Same law
-    as BGSS, different randomness layout.
+    With the clock rescaled to unit mean rate, the legs have per-step shapes
+    mu+-^2*dt/nu+- and rates mu+-/nu+-.
     """
-    p = rnm.model
-    if not isinstance(p, VgParams):
-        raise TypeError("simulate_vg_paths_dg requires a VG risk-neutral model")
-    mv, x0 = vg_to_mean_variance(p)
+    mv, x0 = vg_to_mean_variance(rnm.model)
     mu_plus, mu_minus, nu_plus, nu_minus = dg_gamma_components(mv)
-    dt = grid.dt
     shape_plus, scale_plus = mu_plus**2 * dt / nu_plus, nu_plus / mu_plus
     shape_minus, scale_minus = mu_minus**2 * dt / nu_minus, nu_minus / mu_minus
     base = (x0 + rnm.drift_rate) * dt
 
-    def fill(gen: np.random.Generator, count: int) -> np.ndarray:
-        inc = np.empty((count, grid.n_steps))
-        for j in range(grid.n_steps):
-            g_plus = gen.gamma(shape_plus, scale_plus, size=count)
-            g_minus = gen.gamma(shape_minus, scale_minus, size=count)
-            inc[:, j] = base + g_plus - g_minus
-        return inc
+    def step(gen: np.random.Generator, count: int) -> np.ndarray:
+        g_plus = gen.gamma(shape_plus, scale_plus, size=count)
+        g_minus = gen.gamma(shape_minus, scale_minus, size=count)
+        return base + g_plus - g_minus
 
-    increments = _simulate_increment_blocks(n_paths, seed, grid.n_steps, fill, workers)
-    return _paths_from_increments(rnm, grid, increments, keep_increments)
+    return step
 
 
-SCHEMES = {
-    "ig": simulate_nig_paths,
-    "bgss": simulate_vg_paths_bgss,
-    "dg": simulate_vg_paths_dg,
+# scheme name -> (model kind it simulates, step-sampler factory)
+SCHEMES: dict[str, tuple[str, Callable[[RiskNeutralModel, float], StepSampler]]] = {
+    "ig": ("nig", _ig_step),
+    "bgss": ("vg", _bgss_step),
+    "dg": ("vg", _dg_step),
 }
 
-
-def default_scheme(rnm: RiskNeutralModel) -> str:
-    return "ig" if rnm.model_kind == "nig" else "bgss"
+# model kind -> its schemes, default first
+MODEL_SCHEMES: dict[str, tuple[str, ...]] = {
+    kind: tuple(name for name, (k, _) in SCHEMES.items() if k == kind) for kind, _ in SCHEMES.values()
+}
 
 
 def simulate_paths(
@@ -302,16 +228,35 @@ def simulate_paths(
     seed: int,
     scheme: str | None = None,
     workers: int = 1,
-    keep_increments: bool = False,
 ) -> PathSet:
-    """Simulate with the named scheme, or the model's natural default.
+    """Spot paths from the named scheme, or the model's default one.
 
-    Scheme compatibility: 'ig' is for NIG models, 'bgss' and 'dg' for VG.
+    Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
+    stream, one step at a time, and becomes s0 * exp(cumsum) in its own slice.
     """
-    scheme = scheme or default_scheme(rnm)
+    scheme = scheme or MODEL_SCHEMES[rnm.model_kind][0]
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
-    expected = "nig" if scheme == "ig" else "vg"
-    if rnm.model_kind != expected:
+    kind, make_step = SCHEMES[scheme]
+    if rnm.model_kind != kind:
         raise ValueError(f"scheme {scheme!r} is incompatible with a {rnm.model_kind} model")
-    return SCHEMES[scheme](rnm, grid, n_paths, seed, workers=workers, keep_increments=keep_increments)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    step = make_step(rnm, grid.dt)
+    spots = np.empty((n_paths, grid.n_steps))
+    spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
+
+    def run(span: tuple[int, int, int]) -> None:
+        block_index, lo, hi = span
+        gen = _philox(seed, block_index)
+        block = spots[lo:hi]
+        for j in range(grid.n_steps):
+            block[:, j] = step(gen, hi - lo)
+        # in place and per block: no second (n_paths, s) matrix, and the work runs on the pool
+        np.cumsum(block, axis=1, out=block)
+        np.exp(block, out=block)
+        block *= rnm.market.s0
+
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
+        list(pool.map(run, spans))
+    return PathSet(grid=grid, spots=spots)

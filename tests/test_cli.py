@@ -63,6 +63,11 @@ def test_parse_error_reports_field_path():
         parse_config(json.dumps(dict(MINIMAL_NIG, params={"alpha": "big", "beta": 0, "mu": 0, "delta": 1})))
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{not json")
+    for field, value in [("measure", 1), ("measure", None), ("model", ["nig"]), ("params", 5), ("payoff", [])]:
+        with pytest.raises(ConfigError, match=f"config.{field}"):
+            parse_config(json.dumps(dict(MINIMAL_NIG, **{field: value})))
+    with pytest.raises(ConfigError, match="config.n_path: unknown field"):
+        parse_config(json.dumps(dict(MINIMAL_NIG, n_path=1_000_000)))
 
 
 def test_parse_rejects_invariant_violations():

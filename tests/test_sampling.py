@@ -14,19 +14,18 @@ from levymc.levy_models import (
     nig_mean_rate,
     vg_char_function,
     vg_from_mean_variance,
+    vg_to_mean_variance,
 )
 from levymc.measures import MarketData, RiskNeutralModel
 from levymc.sampling import (
+    BLOCK_SIZE,
     PathGrid,
     RngStream,
     dg_gamma_components,
     sample_gamma,
     sample_inverse_gaussian,
     sample_standard_normal,
-    simulate_nig_paths,
     simulate_paths,
-    simulate_vg_paths_bgss,
-    simulate_vg_paths_dg,
 )
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
@@ -144,9 +143,9 @@ def test_paths_bit_identical_across_runs_and_workers():
     rnm = driftless(NIG_BENCH, s0=36.0)
     grid = PathGrid(1.0 / 12.0, 4)
     # 40000 paths spans multiple stream blocks
-    base = simulate_nig_paths(rnm, grid, 40_000, seed=99)
-    again = simulate_nig_paths(rnm, grid, 40_000, seed=99)
-    threaded = simulate_nig_paths(rnm, grid, 40_000, seed=99, workers=3)
+    base = simulate_paths(rnm, grid, 40_000, seed=99, scheme="ig")
+    again = simulate_paths(rnm, grid, 40_000, seed=99, scheme="ig")
+    threaded = simulate_paths(rnm, grid, 40_000, seed=99, scheme="ig", workers=3)
     assert np.array_equal(base.spots, again.spots)
     assert np.array_equal(base.spots, threaded.spots)
 
@@ -154,14 +153,14 @@ def test_paths_bit_identical_across_runs_and_workers():
 def test_vg_paths_bit_identical_across_workers():
     rnm = driftless(vg_from_mean_variance(VgMeanVarianceParams(-0.1436, 1.0, 1.0)), s0=100.0)
     grid = PathGrid(1.0, 8)
-    a = simulate_vg_paths_dg(rnm, grid, 33_000, seed=3)
-    b = simulate_vg_paths_dg(rnm, grid, 33_000, seed=3, workers=4)
+    a = simulate_paths(rnm, grid, 33_000, seed=3, scheme="dg")
+    b = simulate_paths(rnm, grid, 33_000, seed=3, scheme="dg", workers=4)
     assert np.array_equal(a.spots, b.spots)
 
 
 def test_simulated_spots_are_positive():
     rnm = driftless(NIG_BENCH, s0=36.0)
-    paths = simulate_nig_paths(rnm, PathGrid(1.0, 8), 20_000, seed=1)
+    paths = simulate_paths(rnm, PathGrid(1.0, 8), 20_000, seed=1, scheme="ig")
     assert np.all(paths.spots > 0)
 
 
@@ -176,6 +175,63 @@ def test_scheme_dispatch_compatibility():
         simulate_paths(vg_rnm, PathGrid(1.0, 2), 10, seed=0, scheme="sobol")
 
 
+def _ig_draws(rnm, dt):
+    p = rnm.model
+
+    def step(gen, n):
+        z = gen.wald(p.delta * dt / p.gamma_bar, (p.delta * dt) ** 2, size=n)
+        return (p.mu + rnm.drift_rate) * dt + p.beta * z + np.sqrt(z) * gen.standard_normal(n)
+
+    return step
+
+
+def _bgss_draws(rnm, dt):
+    p = rnm.model
+
+    def step(gen, n):
+        z = gen.gamma(p.lam * dt, 1.0 / p.gamma_rate, size=n)
+        return (p.x0 + rnm.drift_rate) * dt + p.beta * z + p.sigma * np.sqrt(z) * gen.standard_normal(n)
+
+    return step
+
+
+def _dg_draws(rnm, dt):
+    mv, x0 = vg_to_mean_variance(rnm.model)
+    mu_p, mu_m, nu_p, nu_m = dg_gamma_components(mv)
+
+    def step(gen, n):
+        g_plus = gen.gamma(mu_p**2 * dt / nu_p, nu_p / mu_p, size=n)
+        g_minus = gen.gamma(mu_m**2 * dt / nu_m, nu_m / mu_m, size=n)
+        return (x0 + rnm.drift_rate) * dt + g_plus - g_minus
+
+    return step
+
+
+_LAYOUT_VG = VgParams(x0=0.05, lam=2.0, gamma_rate=4.0, beta=-0.3, sigma=0.6)
+_LAYOUT_CASES = {"ig": (NIG_BENCH, _ig_draws), "bgss": (_LAYOUT_VG, _bgss_draws), "dg": (_LAYOUT_VG, _dg_draws)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scheme", sorted(_LAYOUT_CASES))
+def test_stream_layout_is_pinned(scheme, workers):
+    # block b of BLOCK_SIZE paths reads Philox(key=[seed, b]); each step draws
+    # the scheme's variates for the whole block, in order
+    model, draws = _LAYOUT_CASES[scheme]
+    rnm = RiskNeutralModel(
+        model=model, measure="mean_correct", drift_rate=0.03, omega=0.0, market=MarketData(36.0, 0.0, 1.0),
+    )
+    grid, n_paths, seed = PathGrid(0.5, 4), BLOCK_SIZE + 3, 2024
+    step = draws(rnm, grid.dt)
+    blocks = []
+    for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE)):
+        gen = np.random.Generator(np.random.Philox(key=[seed, b]))
+        count = min(BLOCK_SIZE, n_paths - lo)
+        blocks.append(np.column_stack([step(gen, count) for _ in range(grid.n_steps)]))
+    expected = rnm.market.s0 * np.exp(np.cumsum(np.vstack(blocks), axis=1))
+    paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
+    assert np.array_equal(paths.spots, expected)
+
+
 # ---------------------------------------------------------------------------
 # NIG scheme
 # ---------------------------------------------------------------------------
@@ -187,15 +243,15 @@ def test_nig_one_step_mean():
         market=MarketData(1.0, 0.0, 1.0),
     )
     dt = 1.0 / 12.0
-    paths = simulate_nig_paths(rnm, PathGrid(dt, 1), 1_000_000, seed=31, keep_increments=True)
-    inc = paths.log_increments[:, 0]
+    paths = simulate_paths(rnm, PathGrid(dt, 1), 1_000_000, seed=31, scheme="ig")
+    inc = np.log(paths.terminal)  # s0 = 1
     se = inc.std(ddof=1) / 1000.0
     assert inc.mean() == pytest.approx(dt * (nig_mean_rate(NIG_BENCH) + drift), abs=4.0 * se)
 
 
 def test_nig_one_step_marginal_matches_density():
     t = 1.0 / 12.0
-    paths = simulate_nig_paths(driftless(NIG_BENCH), PathGrid(t, 1), 10_000, seed=37)
+    paths = simulate_paths(driftless(NIG_BENCH), PathGrid(t, 1), 10_000, seed=37, scheme="ig")
     samples = np.log(paths.terminal)
     # quadrature CDF of the increment density on a dense grid
     xs = np.linspace(-0.3, 0.3, 120_001)
@@ -208,14 +264,14 @@ def test_nig_one_step_marginal_matches_density():
 
 def test_nig_symmetric_case_sign_flip():
     p = NigParams(alpha=10.0, beta=0.0, mu=0.0, delta=0.5)
-    a = np.log(simulate_nig_paths(driftless(p), PathGrid(1.0, 1), 10_000, seed=41).terminal)
-    b = np.log(simulate_nig_paths(driftless(p), PathGrid(1.0, 1), 10_000, seed=43).terminal)
+    a = np.log(simulate_paths(driftless(p), PathGrid(1.0, 1), 10_000, seed=41, scheme="ig").terminal)
+    b = np.log(simulate_paths(driftless(p), PathGrid(1.0, 1), 10_000, seed=43, scheme="ig").terminal)
     assert stats.ks_2samp(a, -b).pvalue > 0.01
 
 
 def test_nig_increment_stationarity():
-    paths = simulate_nig_paths(driftless(NIG_BENCH), PathGrid(1.0, 8), 20_000, seed=47, keep_increments=True)
-    inc = paths.log_increments
+    paths = simulate_paths(driftless(NIG_BENCH), PathGrid(1.0, 8), 20_000, seed=47, scheme="ig")
+    inc = np.diff(np.log(paths.spots), axis=1, prepend=0.0)  # s0 = 1
     n = inc.shape[0]
     step_means = inc.mean(axis=0)
     pooled_var = inc.var(ddof=1)
@@ -229,8 +285,8 @@ def test_nig_increment_stationarity():
 
 def test_bgss_degenerate_brownian_reduces_to_gamma():
     p = VgParams(x0=0.1, lam=1.3, gamma_rate=2.0, beta=0.7, sigma=1e-9)
-    paths = simulate_vg_paths_bgss(driftless(p), PathGrid(1.0, 1), 10_000, seed=53, keep_increments=True)
-    scaled = (paths.log_increments[:, 0] - p.x0) / p.beta
+    paths = simulate_paths(driftless(p), PathGrid(1.0, 1), 10_000, seed=53, scheme="bgss")
+    scaled = (np.log(paths.terminal) - p.x0) / p.beta  # s0 = 1
     assert stats.kstest(scaled, "gamma", args=(1.3, 0.0, 0.5)).pvalue > 0.01
 
 
@@ -242,8 +298,8 @@ def test_bgss_one_step_mean():
         market=MarketData(1.0, 0.0, 1.0),
     )
     dt = 0.25
-    paths = simulate_vg_paths_bgss(rnm, PathGrid(dt, 1), 1_000_000, seed=59, keep_increments=True)
-    inc = paths.log_increments[:, 0]
+    paths = simulate_paths(rnm, PathGrid(dt, 1), 1_000_000, seed=59, scheme="bgss")
+    inc = np.log(paths.terminal)  # s0 = 1
     se = inc.std(ddof=1) / 1000.0
     expected = dt * (p.x0 + p.beta * p.lam / p.gamma_rate + drift)
     assert inc.mean() == pytest.approx(expected, abs=4.0 * se)
@@ -251,8 +307,8 @@ def test_bgss_one_step_mean():
 
 def test_bgss_terminal_matches_char_function():
     mv = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
-    paths = simulate_vg_paths_bgss(
-        driftless(vg_from_mean_variance(mv)), PathGrid(1.0, 16), 200_000, seed=61
+    paths = simulate_paths(
+        driftless(vg_from_mean_variance(mv)), PathGrid(1.0, 16), 200_000, seed=61, scheme="bgss"
     )
     y = np.log(paths.terminal)
     for u in (1.0, 2.0, 5.0):
@@ -283,8 +339,8 @@ def test_dg_symmetric_when_driftless_brownian():
 def test_dg_and_bgss_share_terminal_distribution():
     p = vg_from_mean_variance(VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0))
     grid = PathGrid(1.0, 16)
-    y_bgss = np.log(simulate_vg_paths_bgss(driftless(p), grid, 10_000, seed=67).terminal)
-    y_dg = np.log(simulate_vg_paths_dg(driftless(p), grid, 10_000, seed=71).terminal)
+    y_bgss = np.log(simulate_paths(driftless(p), grid, 10_000, seed=67, scheme="bgss").terminal)
+    y_dg = np.log(simulate_paths(driftless(p), grid, 10_000, seed=71, scheme="dg").terminal)
     assert stats.ks_2samp(y_bgss, y_dg).pvalue > 0.01
 
 
@@ -292,6 +348,6 @@ def test_dg_handles_tilted_clock():
     # a tilted parameter set (gamma_rate != lam) exercises the unit-clock remap
     p = VgParams(x0=1e-8, lam=1.0, gamma_rate=0.8853, beta=-0.5, sigma=1.0)
     grid = PathGrid(1.0, 16)
-    y_bgss = np.log(simulate_vg_paths_bgss(driftless(p), grid, 10_000, seed=73).terminal)
-    y_dg = np.log(simulate_vg_paths_dg(driftless(p), grid, 10_000, seed=79).terminal)
+    y_bgss = np.log(simulate_paths(driftless(p), grid, 10_000, seed=73, scheme="bgss").terminal)
+    y_dg = np.log(simulate_paths(driftless(p), grid, 10_000, seed=79, scheme="dg").terminal)
     assert stats.ks_2samp(y_bgss, y_dg).pvalue > 0.01
