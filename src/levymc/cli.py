@@ -43,6 +43,10 @@ CSV_HEADER = [
 _PAYOFF_KINDS = (EUROPEAN_CALL, ASIAN_CALL)
 _FIELDS = ("model", "params", "measure", "scheme", "market", "strikes",
            "payoff", "s", "n_paths", "seed", "workers", "out")
+_NIG_FIELDS = ("alpha", "beta", "mu", "delta")
+_VG_MEAN_VARIANCE_FIELDS = ("beta", "sigma", "nu")
+_VG_SUBORDINATED_FIELDS = ("x0", "lam", "lambda", "gamma_rate", "gamma", "beta", "sigma")
+_MARKET_FIELDS = ("s0", "r", "T")
 
 DEFAULT_N_STEPS = 16
 DEFAULT_N_PATHS = 10000
@@ -100,6 +104,12 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _reject_unknown(mapping: dict, fields: tuple[str, ...], path: str) -> None:
+    for key in mapping:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -127,6 +137,7 @@ def _build_params(model: str, raw: dict, path: str):
         raise ConfigError(f"{path}: expected an object, got {raw!r}")
     try:
         if model == "nig":
+            _reject_unknown(raw, _NIG_FIELDS, path)
             return NigParams(
                 alpha=_as_float(_require(raw, "alpha", path), f"{path}.alpha"),
                 beta=_as_float(_require(raw, "beta", path), f"{path}.beta"),
@@ -134,11 +145,13 @@ def _build_params(model: str, raw: dict, path: str):
                 delta=_as_float(_require(raw, "delta", path), f"{path}.delta"),
             )
         if "nu" in raw:
+            _reject_unknown(raw, _VG_MEAN_VARIANCE_FIELDS, path)
             return VgMeanVarianceParams(
                 beta=_as_float(_require(raw, "beta", path), f"{path}.beta"),
                 sigma=_as_float(_require(raw, "sigma", path), f"{path}.sigma"),
                 nu=_as_float(raw["nu"], f"{path}.nu"),
             )
+        _reject_unknown(raw, _VG_SUBORDINATED_FIELDS, path)
         lam = raw.get("lam", raw.get("lambda"))
         gamma_rate = raw.get("gamma_rate", raw.get("gamma"))
         if lam is None or gamma_rate is None:
@@ -162,9 +175,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Validate a JSON-shaped mapping into a RunConfig; errors carry field paths."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    for key in doc:
-        if key not in _FIELDS:
-            raise ConfigError(f"config.{key}: unknown field")
+    _reject_unknown(doc, _FIELDS, "config")
     model = _as_choice(_require(doc, "model", "config"), tuple(MODEL_SCHEMES), "config.model")
 
     params = _build_params(model, _require(doc, "params", "config"), "config.params")
@@ -185,6 +196,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     mkt = _require(doc, "market", "config")
     if not isinstance(mkt, dict):
         raise ConfigError("config.market: expected an object with s0, r, T")
+    _reject_unknown(mkt, _MARKET_FIELDS, "config.market")
     try:
         market = MarketData(
             s0=_as_float(_require(mkt, "s0", "config.market"), "config.market.s0"),

@@ -118,12 +118,18 @@ def nig_density(p: NigParams, x, t: float = 1.0):
     Normalisation carries the alpha*delta*t/pi prefactor, which is the constant
     forced by integrating to one (checked by quadrature in the test suite).
     Stable in the tails: evaluated in log space via the scaled Bessel function.
+
+    A Python float ``x`` (``np.float64`` included), as ``scipy.quad`` passes
+    to its integrand, skips the array wrapping; the operations and their order
+    are those of the array path, so the value is bit-identical to that of the
+    0-d array ``np.asarray(x)``.  Any other ``x`` goes through ``np.asarray``;
+    the result is a float for 0-d input and an array otherwise.
     """
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
     mu_t = p.mu * t
     delta_t = p.delta * t
-    xa = np.asarray(x, dtype=float)
+    xa = x if isinstance(x, float) else np.asarray(x, dtype=float)
     q = np.sqrt(delta_t**2 + (xa - mu_t) ** 2)
     log_f = (
         np.log(p.alpha * delta_t / np.pi)
@@ -133,7 +139,7 @@ def nig_density(p: NigParams, x, t: float = 1.0):
         - np.log(q)
     )
     out = np.exp(log_f)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def nig_cumulant(p: NigParams, theta: float) -> float:

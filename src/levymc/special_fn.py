@@ -87,9 +87,18 @@ def bessel_k(order: float, x):
 
 
 def log_bessel_k(order: float, x):
-    """log K_order(x), stable for large x (uses the exponentially scaled kve)."""
+    """log K_order(x), stable for large x (uses the exponentially scaled kve).
+
+    A Python float ``x`` (``np.float64`` included) takes a scalar path with
+    the same domain check and the same operations as the array path, so its
+    value is bit-identical to that of the 0-d array ``np.asarray(x)``.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if isinstance(x, float):
+        if x <= 0:
+            raise ValueError("log_bessel_k requires x > 0")
+        return float(np.log(_scispecial.kve(order, x)) - x)
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("log_bessel_k requires x > 0")

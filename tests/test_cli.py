@@ -68,6 +68,19 @@ def test_parse_error_reports_field_path():
             parse_config(json.dumps(dict(MINIMAL_NIG, **{field: value})))
     with pytest.raises(ConfigError, match="config.n_path: unknown field"):
         parse_config(json.dumps(dict(MINIMAL_NIG, n_path=1_000_000)))
+    vg_mean_variance = {"beta": -0.1436, "sigma": 0.12136, "nu": 0.3}
+    vg_subordinated = {"x0": 0.0, "lambda": 1.0, "gamma": 0.1, "beta": 0.0, "sigma": 1.0}
+    for model, params, key in [
+        ("vg", dict(vg_mean_variance, x0=0.5), "x0"),
+        ("vg", dict(vg_mean_variance, lam=2.0), "lam"),
+        ("vg", dict(vg_mean_variance, gamma=0.1), "gamma"),
+        ("vg", dict(vg_subordinated, theta=0.1), "theta"),
+        ("nig", dict(MINIMAL_NIG["params"], sigma=3), "sigma"),
+    ]:
+        with pytest.raises(ConfigError, match=f"config.params.{key}: unknown field"):
+            parse_config(json.dumps(dict(MINIMAL_NIG, model=model, params=params)))
+    with pytest.raises(ConfigError, match="config.market.q: unknown field"):
+        parse_config(json.dumps(dict(MINIMAL_NIG, market=dict(MINIMAL_NIG["market"], q=0.03))))
 
 
 def test_parse_rejects_invariant_violations():

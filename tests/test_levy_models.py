@@ -65,6 +65,27 @@ def test_nig_density_mean_matches_analytic():
     assert mean == pytest.approx(t * nig_mean_rate(NIG_BENCH), abs=1e-8)
 
 
+@pytest.mark.parametrize("t", [1.0 / 365.0, 1.0 / 52.0, 1.0 / 12.0, 1.0])
+def test_nig_density_scalar_path_is_bit_identical_to_array_path(t):
+    # scipy.quad hands the integrand Python floats; those take the scalar path
+    mu_t = NIG_BENCH.mu * t
+    offsets = np.geomspace(1e-9, 20.0, 1300)  # out past the underflow of the density
+    xs = [float(x) for x in np.concatenate([mu_t - offsets, mu_t + offsets, [mu_t]])]
+    for x in xs:
+        assert nig_density(NIG_BENCH, x, t) == nig_density(NIG_BENCH, np.array(x), t)
+    assert sum(nig_density(NIG_BENCH, x, t) == 0.0 for x in xs) > 0
+    assert sum(nig_density(NIG_BENCH, x, t) > 0.0 for x in xs) > 2000
+
+
+def test_nig_density_return_types():
+    for x in (0.01, np.float64(0.01), 0, np.array(0.01)):
+        assert type(nig_density(NIG_BENCH, x, 1.0)) is float
+    assert isinstance(nig_density(NIG_BENCH, np.array([0.01]), 1.0), np.ndarray)
+    assert isinstance(nig_density(NIG_BENCH, [0.01, 0.02], 1.0), np.ndarray)
+    with pytest.raises(ValueError):
+        nig_density(NIG_BENCH, 0.01, 0.0)
+
+
 def test_nig_cumulant_at_zero():
     assert nig_cumulant(NIG_BENCH, 0.0) == 0.0
 

@@ -13,6 +13,7 @@ from levymc.special_fn import (
     bessel_k,
     find_root,
     integrate,
+    log_bessel_k,
     log_gamma,
 )
 
@@ -64,6 +65,27 @@ def test_bessel_k_rejects_nonpositive_argument():
         bessel_k(1.0, -2.0)
     with pytest.raises(ValueError):
         bessel_k(-1.0, 1.0)
+
+
+def test_log_bessel_k_scalar_path_is_bit_identical_to_array_path():
+    zs = [float(z) for z in np.geomspace(1e-8, 2000.0, 10_000)]
+    for z in zs:
+        assert log_bessel_k(1.0, z) == log_bessel_k(1.0, np.array(z))
+        assert type(log_bessel_k(1.0, z)) is float
+    assert type(log_bessel_k(1.0, np.float64(2.0))) is float
+    assert type(log_bessel_k(1.0, 2)) is float
+    assert isinstance(log_bessel_k(1.0, np.array([2.0])), np.ndarray)
+    # NaN passes the domain check on both paths, as it always has
+    assert math.isnan(log_bessel_k(1.0, math.nan))
+    assert math.isnan(log_bessel_k(1.0, np.array(math.nan)))
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0])
+def test_log_bessel_k_rejects_nonpositive_argument_on_both_paths(z):
+    with pytest.raises(ValueError, match="log_bessel_k requires x > 0"):
+        log_bessel_k(1.0, z)
+    with pytest.raises(ValueError, match="log_bessel_k requires x > 0"):
+        log_bessel_k(1.0, np.array(z))
 
 
 def test_bessel_k_flags_underflow():
