@@ -152,6 +152,9 @@ def _build_params(model: str, raw: dict, path: str):
                 nu=_as_float(raw["nu"], f"{path}.nu"),
             )
         _reject_unknown(raw, _VG_SUBORDINATED_FIELDS, path)
+        for name, alias in (("lam", "lambda"), ("gamma_rate", "gamma")):
+            if name in raw and alias in raw:
+                raise ConfigError(f"{path}: give only one of {name!r} and {alias!r}")
         lam = raw.get("lam", raw.get("lambda"))
         gamma_rate = raw.get("gamma_rate", raw.get("gamma"))
         if lam is None or gamma_rate is None:
@@ -295,7 +298,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
         for scheme in cfg.schemes:
             paths = simulate_paths(rnm, grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers)
             for strike in cfg.strikes:
-                payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths.spots)
+                payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths)
                 result = McResult.from_discounted_payoffs(discount * payoffs, cfg.seed)
                 rows.append(ResultRow(
                     model=cfg.model, measure=measure, scheme=scheme, payoff=cfg.payoff_kind,
@@ -306,6 +309,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
                     closed_form=closed.get(strike) if measure == ESSCHER else None,
                     status="ok",
                 ))
+            del paths  # free this matrix before simulate_paths allocates the next one
     return rows
 
 

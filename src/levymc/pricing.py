@@ -9,7 +9,7 @@ import numpy as np
 
 from .levy_models import NigParams, nig_density
 from .measures import MarketData, MeasureExistenceError, RiskNeutralModel, nig_esscher
-from .sampling import PathGrid, simulate_paths
+from .sampling import PathGrid, PathSet, simulate_paths
 from .special_fn import QuadratureSpec, integrate
 
 __all__ = [
@@ -43,10 +43,10 @@ class Payoff:
         if self.strike < 0:
             raise ValueError(f"strike must be >= 0, got {self.strike}")
 
-    def evaluate(self, spots: np.ndarray) -> np.ndarray:
-        if self.kind == EUROPEAN_CALL:
-            return payoff_european_call(spots, self.strike)
-        return payoff_asian_call(spots, self.strike)
+    def evaluate(self, paths: PathSet) -> np.ndarray:
+        """The payoff on every path, from its terminal spot or its precomputed average."""
+        underlying = paths.terminal if self.kind == EUROPEAN_CALL else paths.average
+        return np.maximum(underlying - self.strike, 0.0)
 
 
 def payoff_european_call(path: np.ndarray, strike: float) -> np.ndarray:
@@ -103,7 +103,7 @@ def price_mc(
     to a payoff vector.
     """
     paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
-    raw = payoff.evaluate(paths.spots) if isinstance(payoff, Payoff) else payoff(paths.spots)
+    raw = payoff.evaluate(paths) if isinstance(payoff, Payoff) else payoff(paths.spots)
     discounted = math.exp(-rnm.market.r * grid.maturity) * np.asarray(raw, dtype=float)
     return McResult.from_discounted_payoffs(discounted, seed)
 

@@ -120,10 +120,15 @@ class PathGrid:
 
 @dataclass
 class PathSet:
-    """Simulated spot trajectories: spots[i, j] = S at dates[j] on path i."""
+    """Simulated spot trajectories: spots[i, j] = S at dates[j] on path i.
+
+    ``average[i]`` is path i's arithmetic mean over the monitored dates,
+    ``spots.mean(axis=-1)``, reduced per block while the block is in cache.
+    """
 
     grid: PathGrid
     spots: np.ndarray
+    average: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -232,7 +237,8 @@ def simulate_paths(
     """Spot paths from the named scheme, or the model's default one.
 
     Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
-    stream, one step at a time, and becomes s0 * exp(cumsum) in its own slice.
+    stream, one step at a time, and becomes s0 * exp(cumsum) in its own slice;
+    its rows' averages over the dates go to the same slice of ``average``.
     """
     scheme = scheme or MODEL_SCHEMES[rnm.model_kind][0]
     if scheme not in SCHEMES:
@@ -244,6 +250,7 @@ def simulate_paths(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     step = make_step(rnm, grid.dt)
     spots = np.empty((n_paths, grid.n_steps))
+    average = np.empty(n_paths)
     spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
     def run(span: tuple[int, int, int]) -> None:
@@ -256,7 +263,8 @@ def simulate_paths(
         np.cumsum(block, axis=1, out=block)
         np.exp(block, out=block)
         block *= rnm.market.s0
+        np.mean(block, axis=1, out=average[lo:hi])
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
         list(pool.map(run, spans))
-    return PathSet(grid=grid, spots=spots)
+    return PathSet(grid=grid, spots=spots, average=average)

@@ -90,7 +90,7 @@ def test_criterion_2_closed_form_vs_mc_16_cells():
         discount = math.exp(-market.r * market.T)
         for strike in NIG_STRIKES:
             closed = european_call_nig_closed(NIG_BENCH, market, strike)
-            payoff = discount * Payoff(EUROPEAN_CALL, strike).evaluate(paths.spots)
+            payoff = discount * Payoff(EUROPEAN_CALL, strike).evaluate(paths)
             est = payoff.mean()
             se = payoff.std(ddof=1) / 1000.0
             z = abs(closed - est) / se

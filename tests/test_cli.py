@@ -81,6 +81,9 @@ def test_parse_error_reports_field_path():
             parse_config(json.dumps(dict(MINIMAL_NIG, model=model, params=params)))
     with pytest.raises(ConfigError, match="config.market.q: unknown field"):
         parse_config(json.dumps(dict(MINIMAL_NIG, market=dict(MINIMAL_NIG["market"], q=0.03))))
+    for extra, pair in [({"lam": 1.0}, "'lam' and 'lambda'"), ({"gamma_rate": 0.2}, "'gamma_rate' and 'gamma'")]:
+        with pytest.raises(ConfigError, match=f"config.params: give only one of {pair}"):
+            parse_config(json.dumps(dict(MINIMAL_NIG, model="vg", params=dict(vg_subordinated, **extra))))
 
 
 def test_parse_rejects_invariant_violations():

@@ -42,6 +42,14 @@ def test_payoffs_vectorize_over_path_matrices():
     np.testing.assert_allclose(payoff_asian_call(spots, 34.0), [2.0, 0.0])
 
 
+@pytest.mark.parametrize("kind, reference", [(EUROPEAN_CALL, payoff_european_call), (ASIAN_CALL, payoff_asian_call)])
+def test_payoff_evaluate_matches_payoff_functions(kind, reference):
+    rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
+    paths = simulate_paths(rnm, PathGrid(MARKET.T, 16), 5000, seed=17, workers=2)
+    for strike in (0.0, 34.0, 36.0, 40.0):
+        assert np.array_equal(Payoff(kind, strike).evaluate(paths), reference(paths.spots, strike))
+
+
 def test_payoff_validation():
     with pytest.raises(ValueError):
         Payoff("digital", 1.0)

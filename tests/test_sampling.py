@@ -232,6 +232,19 @@ def test_stream_layout_is_pinned(scheme, workers):
     assert np.array_equal(paths.spots, expected)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scheme", sorted(_LAYOUT_CASES))
+def test_path_average_matches_row_mean(scheme, workers):
+    # the per-block reduction equals the row mean of the full matrix bit for bit
+    model, _ = _LAYOUT_CASES[scheme]
+    rnm = RiskNeutralModel(
+        model=model, measure="mean_correct", drift_rate=0.03, omega=0.0, market=MarketData(36.0, 0.0, 1.0),
+    )
+    paths = simulate_paths(rnm, PathGrid(0.5, 16), BLOCK_SIZE + 3, seed=2024, scheme=scheme, workers=workers)
+    assert paths.average.shape == (BLOCK_SIZE + 3,)
+    assert np.array_equal(paths.average, paths.spots.mean(axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # NIG scheme
 # ---------------------------------------------------------------------------
