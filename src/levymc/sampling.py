@@ -5,10 +5,11 @@ maps each scheme to the model kind it simulates and its per-step sampler; it
 is the only place where scheme/model compatibility is defined, and
 ``MODEL_SCHEMES`` (each model's schemes, default first) is derived from it.
 
-Reproducibility model: every simulation consumes randomness through
-counter-based Philox streams keyed by (seed, block index).  Paths are
-generated in fixed-size blocks and written into their block positions, so the
-output is bit-identical across runs and across any number of workers.  The
+Reproducibility model: every simulation consumes randomness through SFC64
+streams keyed by (seed, block index), one ``SeedSequence(seed,
+spawn_key=(block,))`` per block (stream layout v2, ``STREAM_LAYOUT``).  Paths
+are generated in fixed-size blocks and written into their block positions, so
+the output is bit-identical across runs and across any number of workers.  The
 block size is a build constant; changing it changes the stream layout.
 """
 from __future__ import annotations
@@ -33,18 +34,23 @@ __all__ = [
     "dg_gamma_components",
     "SCHEMES",
     "MODEL_SCHEMES",
+    "STREAM_LAYOUT",
 ]
 
 # Fixed stream-block width; not tunable, or identical seeds would stop
 # producing identical output.
 BLOCK_SIZE = 16384
 
-_UINT64_MASK = (1 << 64) - 1
+# Which generator and keying produce stream (seed, stream_id); a fixed seed
+# gives the same output only within one layout.
+#   v1: Philox with key [seed, stream_id].
+#   v2: SFC64 seeded by SeedSequence(seed, spawn_key=(stream_id,)), the same
+#       stream SeedSequence(seed).spawn() hands to child stream_id.
+STREAM_LAYOUT = 2
 
 
-def _philox(seed: int, stream_id: int) -> np.random.Generator:
-    key = np.array([seed & _UINT64_MASK, stream_id & _UINT64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _generator(seed: int, stream_id: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream_id,))))
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class RngStream:
             raise ValueError("stream_id must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
-        return _philox(self.seed, self.stream_id)
+        return _generator(self.seed, self.stream_id)
 
 
 def _as_generator(rng: Union[RngStream, np.random.Generator]) -> np.random.Generator:
@@ -255,7 +261,7 @@ def simulate_paths(
 
     def run(span: tuple[int, int, int]) -> None:
         block_index, lo, hi = span
-        gen = _philox(seed, block_index)
+        gen = _generator(seed, block_index)
         block = spots[lo:hi]
         for j in range(grid.n_steps):
             block[:, j] = step(gen, hi - lo)

@@ -214,8 +214,9 @@ _LAYOUT_CASES = {"ig": (NIG_BENCH, _ig_draws), "bgss": (_LAYOUT_VG, _bgss_draws)
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scheme", sorted(_LAYOUT_CASES))
 def test_stream_layout_is_pinned(scheme, workers):
-    # block b of BLOCK_SIZE paths reads Philox(key=[seed, b]); each step draws
-    # the scheme's variates for the whole block, in order
+    # stream layout v2: block b of BLOCK_SIZE paths reads
+    # SFC64(SeedSequence(seed, spawn_key=(b,))); each step draws the scheme's
+    # variates for the whole block, in order
     model, draws = _LAYOUT_CASES[scheme]
     rnm = RiskNeutralModel(
         model=model, measure="mean_correct", drift_rate=0.03, omega=0.0, market=MarketData(36.0, 0.0, 1.0),
@@ -224,12 +225,26 @@ def test_stream_layout_is_pinned(scheme, workers):
     step = draws(rnm, grid.dt)
     blocks = []
     for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE)):
-        gen = np.random.Generator(np.random.Philox(key=[seed, b]))
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
         count = min(BLOCK_SIZE, n_paths - lo)
         blocks.append(np.column_stack([step(gen, count) for _ in range(grid.n_steps)]))
     expected = rnm.market.s0 * np.exp(np.cumsum(np.vstack(blocks), axis=1))
     paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
     assert np.array_equal(paths.spots, expected)
+
+
+@pytest.mark.parametrize("seed", [2024, 2**64 - 1])
+def test_rng_stream_matches_walker_block(seed):
+    # RngStream(seed, b) is the stream the walker gives block b
+    rnm = RiskNeutralModel(
+        model=NIG_BENCH, measure="mean_correct", drift_rate=0.0, omega=0.0, market=MarketData(1.0, 0.0, 1.0),
+    )
+    grid, n_paths = PathGrid(0.5, 1), BLOCK_SIZE + 3
+    step = _ig_draws(rnm, grid.dt)
+    spots = simulate_paths(rnm, grid, n_paths, seed, scheme="ig").spots[:, 0]
+    for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, n_paths - lo)
+        assert np.array_equal(spots[lo:lo + count], np.exp(step(RngStream(seed, b).generator(), count)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
