@@ -273,7 +273,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     Paths are simulated once per (measure, scheme) and reused across strikes
     (common random numbers), so prices are comparable across strikes and the
     whole table is deterministic for a fixed seed.  A measure that fails to
-    exist yields rows with an explanatory status instead of aborting the run.
+    exist, or a non-finite price, SE or CI, yields a row whose status says so.
     """
     rows: list[ResultRow] = []
     grid = PathGrid(maturity=cfg.market.T, n_steps=cfg.n_steps)
@@ -290,8 +290,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     for measure in cfg.measures:
         try:
             rnm = risk_neutralize(cfg.params, cfg.market, measure)
-        except (MeasureExistenceError, ValueError) as exc:
-            # non-existence, or a parametrization the measure does not support
+        except MeasureExistenceError as exc:
             for scheme in cfg.schemes:
                 rows.extend(_failed_rows(cfg, measure, scheme, str(exc)))
             continue
@@ -300,6 +299,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
             for strike in cfg.strikes:
                 payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths)
                 result = McResult.from_discounted_payoffs(discount * payoffs, cfg.seed)
+                finite = all(map(math.isfinite, (result.estimate, result.std_error, result.ci_lo, result.ci_hi)))
                 rows.append(ResultRow(
                     model=cfg.model, measure=measure, scheme=scheme, payoff=cfg.payoff_kind,
                     s0=cfg.market.s0, strike=strike, r=cfg.market.r, maturity=cfg.market.T,
@@ -307,7 +307,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
                     price=result.estimate, std_error=result.std_error,
                     ci_lo=result.ci_lo, ci_hi=result.ci_hi,
                     closed_form=closed.get(strike) if measure == ESSCHER else None,
-                    status="ok",
+                    status="ok" if finite else "non-finite result",
                 ))
             del paths  # free this matrix before simulate_paths allocates the next one
     return rows
@@ -476,8 +476,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
-    Exit codes: 0 success, 1 configuration error, 2 numerical existence
-    failure in a single-row run.
+    Exit codes: 0 success, 1 configuration error, 2 a single-row run whose
+    row is not ``ok`` (the measure does not exist or the result is not finite).
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -6,8 +6,8 @@ exactly when drift_rate = r - cumulant(1), with the cumulant taken under the
 pricing measure, and that is how every drift here is assembled:
 
 * Esscher: tilt the law by exp(theta* x) with theta* solving
-  ``cumulant(theta + 1) - cumulant(theta) = target`` (target 0 by default, so
-  the tilted cumulant at 1 vanishes and drift_rate = r up to the residual).
+  ``cumulant(theta + 1) = cumulant(theta)``, so the tilted cumulant at 1
+  vanishes and drift_rate = r up to the residual.
 * Mean correcting: keep the physical law and set drift_rate = r + omega with
   omega = -cumulant(1).
 """
@@ -45,10 +45,6 @@ __all__ = [
 
 ESSCHER = "esscher"
 MEAN_CORRECT = "mean_correct"
-
-# Esscher parameter default: tiny positive start value of the VG drift, needed
-# because the closed form degenerates at x0 = 0.
-DEFAULT_VG_ESSCHER_X0 = 1e-8
 
 _RESIDUAL_TOL = 1e-10
 
@@ -142,7 +138,7 @@ def nig_esscher_bracket(p: NigParams, span: float = 50.0, margin: float = 1e-9) 
     return lo, hi
 
 
-def nig_esscher(p: NigParams, market: MarketData, target: float = 0.0) -> EsscherSolution:
+def nig_esscher(p: NigParams, target: float = 0.0) -> EsscherSolution:
     """Closed-form Esscher tilt for the NIG process.
 
     Solves cumulant(theta + 1) - cumulant(theta) = target; with m = (target - mu)/delta
@@ -180,37 +176,44 @@ def nig_esscher(p: NigParams, market: MarketData, target: float = 0.0) -> Essche
 
 
 def vg_esscher(p: VgParams) -> EsscherSolution:
-    """Closed-form Esscher tilt for the VG process with sigma = 1 and x0 != 0.
+    """Closed-form Esscher tilt for the VG process, for every sigma > 0 and x0.
 
-    With eps = 1 - exp(x0/lam) and Q = beta^2 + 2*gamma_rate the tilt is
+    With q(t) = beta*t + sigma^2 t^2/2 and eps = 1 - exp(x0/lam), the equation
+    cumulant(theta + 1) = cumulant(theta) reads
 
-        theta* = -beta + (Q*eps - 1) / (1 + sqrt(1 - eps + Q*eps^2))
+        eps * (gamma_rate - q(theta)) = beta + sigma^2 * (theta + 1/2),
 
-    (an algebraically equivalent, cancellation-free form of the usual
-    (-1 + sqrt(...))/eps expression, stable for the tiny x0 used in practice).
-    The tilted process is VG(x0, lam, gamma*, beta*, 1) with
-    gamma* = gamma_rate - beta*theta* - theta*^2/2 and beta* = beta + theta*.
-    Exists only when beta^2 + 2*gamma_rate > 1/4.
+    a quadratic in theta that turns linear, theta* = -beta/sigma^2 - 1/2, at
+    x0 = 0.  Both roots are taken in cancellation-free form; the excess return
+    is strictly increasing where theta and theta + 1 keep q below gamma_rate,
+    so at most one root lies there.  The tilted process is
+    VG(x0, lam, gamma_rate - q(theta*), beta + sigma^2 theta*, sigma).
     """
-    if p.sigma != 1.0:
-        raise ValueError("the VG Esscher closed form requires sigma = 1")
-    if p.x0 == 0.0:
-        raise ValueError("the VG Esscher closed form requires x0 != 0 (eps would vanish)")
-    q_total = p.beta**2 + 2.0 * p.gamma_rate
-    if q_total <= 0.25:
+    s2 = p.sigma**2
+    eps = -math.expm1(p.x0 / p.lam)
+    a = 0.5 * eps * s2
+    b = eps * p.beta + s2
+    c = p.beta + 0.5 * s2 - eps * p.gamma_rate
+    disc = b * b - 4.0 * a * c
+    roots = []
+    if disc >= 0:
+        half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = ([c / half] if half != 0.0 else []) + ([half / a] if a != 0.0 else [])
+
+    def clock_rate(theta: float) -> float:
+        # q rounded as vg_cumulant rounds it, so both agree on the domain
+        return p.gamma_rate - (p.beta * theta + 0.5 * s2 * (theta * theta))
+
+    inside = [t for t in roots if clock_rate(t) > 0 and clock_rate(t + 1.0) > 0]
+    if not inside:
         raise MeasureExistenceError(
-            f"Esscher measure does not exist: beta^2 + 2*gamma_rate = {q_total:g} <= 1/4"
+            "Esscher measure does not exist: no real root of the tilt equation keeps theta "
+            "and theta + 1 inside the cumulant domain"
         )
-    eps = 1.0 - math.exp(p.x0 / p.lam)
-    inner = 1.0 - eps + q_total * eps**2
-    theta_star = -p.beta + (q_total * eps - 1.0) / (1.0 + math.sqrt(inner))
-    gamma_star = p.gamma_rate - p.beta * theta_star - 0.5 * theta_star**2
-    if not gamma_star > 0:
-        raise MeasureExistenceError(
-            f"Esscher measure does not exist: tilted clock rate {gamma_star:g} is not positive"
-        )
+    theta_star = inside[0]
     residual = vg_cumulant(p, theta_star + 1.0) - vg_cumulant(p, theta_star)
-    rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=gamma_star, beta=p.beta + theta_star, sigma=1.0)
+    rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=clock_rate(theta_star),
+                  beta=p.beta + s2 * theta_star, sigma=p.sigma)
     return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, target=0.0, residual=residual)
 
 
@@ -238,13 +241,7 @@ def mean_correct_omega_vg(mv: VgMeanVarianceParams) -> float:
     return math.log(arg) / mv.nu
 
 
-def risk_neutralize(
-    model: ModelParams,
-    market: MarketData,
-    measure: str,
-    esscher_target: float = 0.0,
-    esscher_x0: float = DEFAULT_VG_ESSCHER_X0,
-) -> RiskNeutralModel:
+def risk_neutralize(model: ModelParams, market: MarketData, measure: str) -> RiskNeutralModel:
     """Assemble a simulatable risk-neutral model for the requested measure.
 
     drift_rate is always r - cumulant(1) under the returned parameter set, so
@@ -256,14 +253,10 @@ def risk_neutralize(
 
     if measure == ESSCHER:
         if isinstance(model, NigParams):
-            sol = nig_esscher(model, market, target=esscher_target)
+            sol = nig_esscher(model)
+        elif isinstance(model, VgMeanVarianceParams):
+            sol = vg_esscher(vg_from_mean_variance(model))
         else:
-            if isinstance(model, VgMeanVarianceParams):
-                base = vg_from_mean_variance(model)
-                model = VgParams(
-                    x0=esscher_x0, lam=base.lam, gamma_rate=base.gamma_rate,
-                    beta=base.beta, sigma=base.sigma,
-                )
             sol = vg_esscher(model)
         rn = sol.risk_neutral_params
         cum1 = nig_cumulant(rn, 1.0) if isinstance(rn, NigParams) else vg_cumulant(rn, 1.0)

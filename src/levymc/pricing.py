@@ -129,7 +129,7 @@ def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) ->
         raise ValueError(f"strike must be >= 0, got {strike}")
     if strike == 0.0:
         return market.s0
-    sol = nig_esscher(p, market)
+    sol = nig_esscher(p)
     beta_star = sol.risk_neutral_params.beta
     if not abs(beta_star + 1.0) < p.alpha:
         raise MeasureExistenceError(

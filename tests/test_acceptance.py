@@ -199,8 +199,7 @@ def test_criterion_7_measure_identities():
     ok_vg_omega = abs(om_vg + vg_cumulant(vg_from_mean_variance(VG_BENCH_CLOCK), 1.0)) <= 1e-12
 
     # Esscher residuals
-    market = MarketData(36.0, 0.1, 1.0 / 12.0)
-    sol_nig = nig_esscher(NIG_BENCH, market)
+    sol_nig = nig_esscher(NIG_BENCH)
     vg_params = VgParams(x0=1e-8, lam=1.0, gamma_rate=1.0, beta=-0.1436, sigma=1.0)
     sol_vg = vg_esscher(vg_params)
     ok_resid = abs(sol_nig.residual) <= 1e-10 and abs(sol_vg.residual) <= 1e-10

@@ -258,12 +258,25 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_unsupported_measure_parametrization_becomes_status_row(capsys):
-    # the VG Esscher closed form needs sigma = 1; requesting it on the small-vol
-    # clock must yield a single failed row, i.e. exit code 2
-    assert main(["--preset", "vg-lecuyer", "--paths", "100", "--measure", "esscher"]) == 2
+def test_cli_vg_lecuyer_esscher_is_ok(capsys):
+    # the VG Esscher tilt solves for every sigma, the small-vol clock included
+    assert main(["--preset", "vg-lecuyer", "--paths", "100", "--measure", "esscher"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 2 and "sigma = 1" in out[1]
+    assert len(out) == 2 and out[1].startswith("vg,esscher,bgss,") and out[1].endswith(",ok")
+
+
+@pytest.mark.parametrize("s0", [1e300, 1.7e308])
+def test_non_finite_result_is_not_ok(tmp_path, capsys, s0):
+    # the payoffs overflow: a std_error (and at 1.7e308 a price) of inf is no result
+    doc = dict(MINIMAL_NIG, market={"s0": s0, "r": 0.1, "T": 1.0 / 12.0}, n_paths=1000,
+               payoff="asian_arithmetic_call")
+    rows = run_experiment(parse_config(json.dumps(doc)))
+    assert len(rows) == 1 and not math.isfinite(rows[0].std_error)
+    assert rows[0].status == "non-finite result"
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 2
+    capsys.readouterr()
 
 
 def test_cli_exit_code_existence_failure_single_row(tmp_path, capsys):

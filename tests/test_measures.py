@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from levymc.levy_models import (
     NigParams,
@@ -48,7 +50,7 @@ def test_esscher_theta_reports_missing_sign_change():
 def test_nig_esscher_closed_form_matches_root_solve():
     # the target=r tilt sits near the edge of the cumulant domain, hence the wide span
     for target in [0.0, MARKET.r]:
-        sol = nig_esscher(NIG_BENCH, MARKET, target=target)
+        sol = nig_esscher(NIG_BENCH, target=target)
         theta_num = esscher_theta(
             lambda t: nig_cumulant(NIG_BENCH, t), target, nig_esscher_bracket(NIG_BENCH, span=80.0)
         )
@@ -58,17 +60,17 @@ def test_nig_esscher_closed_form_matches_root_solve():
 
 def test_nig_esscher_frozen_tilt():
     # root-solve oracle value for the benchmark calibration at target 0
-    sol = nig_esscher(NIG_BENCH, MARKET)
+    sol = nig_esscher(NIG_BENCH)
     assert sol.risk_neutral_params.beta == pytest.approx(0.47435883413573066, abs=1e-10)
     assert sol.risk_neutral_params == NigParams(81.6, sol.risk_neutral_params.beta, -0.000123, 0.0103)
 
 
 def test_nig_esscher_degenerate_drift_gives_minus_half():
     p = NigParams(alpha=5.0, beta=1.0, mu=0.0, delta=0.8)
-    sol = nig_esscher(p, MarketData(100.0, 0.0, 1.0), target=0.0)
+    sol = nig_esscher(p, target=0.0)
     assert sol.risk_neutral_params.beta == pytest.approx(-0.5, abs=1e-14)
     p2 = NigParams(alpha=5.0, beta=1.0, mu=0.07, delta=0.8)
-    sol2 = nig_esscher(p2, MarketData(100.0, 0.07, 1.0), target=0.07)
+    sol2 = nig_esscher(p2, target=0.07)
     assert sol2.risk_neutral_params.beta == pytest.approx(-0.5, abs=1e-14)
 
 
@@ -76,11 +78,11 @@ def test_nig_esscher_nonexistence():
     # drift gap too wide for the tilted root to stay real
     p = NigParams(alpha=1.1, beta=0.0, mu=0.0, delta=0.01)
     with pytest.raises(MeasureExistenceError):
-        nig_esscher(p, MarketData(1.0, 1.0, 1.0), target=1.0)
+        nig_esscher(p, target=1.0)
 
 
 def test_nig_esscher_levy_density_tilt_identity():
-    sol = nig_esscher(NIG_BENCH, MARKET)
+    sol = nig_esscher(NIG_BENCH)
     theta = sol.theta_star
     for x in [-0.4, -0.02, 0.01, 0.25]:
         lhs = nig_levy_density(sol.risk_neutral_params, x)
@@ -89,7 +91,7 @@ def test_nig_esscher_levy_density_tilt_identity():
 
 
 def test_nig_esscher_pricing_cumulant_identity():
-    sol = nig_esscher(NIG_BENCH, MARKET)
+    sol = nig_esscher(NIG_BENCH)
     rn, theta = sol.risk_neutral_params, sol.theta_star
     for u in [-2.0, -0.5, 0.3, 1.0, 2.0]:
         tilted = nig_cumulant(NIG_BENCH, u + theta) - nig_cumulant(NIG_BENCH, theta)
@@ -129,13 +131,65 @@ def test_vg_esscher_existence_boundary():
     p = VgParams(x0=1e-8, lam=1.0, gamma_rate=0.125, beta=0.0, sigma=1.0)
     with pytest.raises(MeasureExistenceError):
         vg_esscher(p)
+    # in general the tilt exists iff beta^2 + 2*sigma^2*gamma > sigma^4/4; at
+    # beta = 1e-5 it holds by 1e-10 only, below rounding, and is reported as not
+    for x0 in [0.0, 0.3, -0.3]:
+        for beta, gamma_rate in [(0.0, 0.5), (1e-5, 0.5), (0.0, 0.4)]:
+            with pytest.raises(MeasureExistenceError):
+                vg_esscher(VgParams(x0=x0, lam=0.5, gamma_rate=gamma_rate, beta=beta, sigma=2.0))
+        # 0.5% inside: the tilted clock rate is small but well above rounding
+        sol = vg_esscher(VgParams(x0=x0, lam=0.5, gamma_rate=0.505, beta=0.0, sigma=2.0))
+        assert abs(sol.residual) <= 1e-10 and sol.risk_neutral_params.gamma_rate > 0
 
 
-def test_vg_esscher_parametrization_guards():
-    with pytest.raises(ValueError):
-        vg_esscher(VgParams(x0=1e-8, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=0.5))
-    with pytest.raises(ValueError):
-        vg_esscher(VgParams(x0=0.0, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=1.0))
+def test_vg_esscher_solves_any_sigma_and_zero_start():
+    # sigma != 1 and x0 = 0 both solve; at x0 = 0 the equation is linear in theta
+    for p in [
+        VgParams(x0=1e-8, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=0.5),
+        VgParams(x0=0.0, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=1.0),
+        VgParams(x0=0.0, lam=1.0, gamma_rate=1.0, beta=-0.1436, sigma=0.12136),
+    ]:
+        sol = vg_esscher(p)
+        assert abs(sol.residual) <= 1e-10
+        if p.x0 == 0.0:
+            assert sol.theta_star == pytest.approx(-p.beta / p.sigma**2 - 0.5, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sigma=st.floats(0.05, 3.0),
+    nu=st.floats(0.05, 3.0),
+    beta=st.floats(-1.0, 1.0),
+    x0=st.floats(-1.0, 1.0),
+)
+# a root of the quadratic chosen by sign alone lands at 9.514, outside the domain
+@example(sigma=0.12136, nu=1.0, beta=0.2, x0=0.2)
+# a tiny x0 puts the far root near 7e242, where float ** 2 raises OverflowError
+@example(sigma=1.0, nu=1.0, beta=0.0, x0=2.7929844982766083e-243)
+def test_vg_esscher_matches_bracketed_root_solve(sigma, nu, beta, x0):
+    p = VgParams(x0=x0, lam=1.0 / nu, gamma_rate=1.0 / nu, beta=beta, sigma=sigma)
+    # q(t) = beta*t + sigma^2 t^2/2 stays below gamma_rate on (t_lo, t_hi), so
+    # theta and theta + 1 are both in the domain for theta in (t_lo, t_hi - 1)
+    root = math.sqrt(beta**2 + 2.0 * sigma**2 * p.gamma_rate)
+    t_lo, t_hi = (-beta - root) / sigma**2, (-beta + root) / sigma**2
+    width = t_hi - 1.0 - t_lo
+    # Near the existence boundary width = 0 the tilted clock rate
+    # gamma_rate - q(theta*) shrinks with width toward the rounding in q, and
+    # below width ~ 2e-5 no float theta* meets the 1e-10 residual, so the
+    # solve reports non-existence there; test_vg_esscher_existence_boundary pins it.
+    assume(abs(width) > 1e-4 * (t_hi - t_lo))
+    lo, hi = t_lo + 1e-9 * width, t_hi - 1.0 - 1e-9 * width
+    try:
+        theta_num = esscher_theta(lambda t: vg_cumulant(p, t), 0.0, (lo, hi)) if lo < hi else None
+    except MeasureExistenceError:
+        theta_num = None
+    if theta_num is None:
+        with pytest.raises(MeasureExistenceError):
+            vg_esscher(p)
+    else:
+        sol = vg_esscher(p)
+        assert sol.theta_star == pytest.approx(theta_num, abs=1e-8)
+        assert abs(sol.residual) <= 1e-10
 
 
 def test_omega_vg_degenerate_clock():
@@ -190,14 +244,13 @@ def test_nig_discounted_spot_is_martingale(measure):
 
 @pytest.mark.parametrize("measure", [ESSCHER, MEAN_CORRECT])
 def test_vg_discounted_spot_is_martingale(measure):
-    # the Esscher closed form needs the sigma = 1 regime; mean correcting does not
-    mv = VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0) if measure == ESSCHER else VG_CLOCK
     market = MarketData(s0=100.0, r=0.1, T=1.0)
-    rnm = risk_neutralize(mv, market, measure)
-    paths = simulate_paths(rnm, PathGrid(market.T, 1), 100_000, seed=17)
-    discounted = math.exp(-market.r * market.T) * paths.terminal
-    se = discounted.std(ddof=1) / math.sqrt(len(discounted))
-    assert discounted.mean() == pytest.approx(market.s0, abs=3.0 * se)
+    rnm = risk_neutralize(VG_CLOCK, market, measure)
+    for scheme in ["bgss", "dg"]:
+        paths = simulate_paths(rnm, PathGrid(market.T, 1), 100_000, seed=17, scheme=scheme)
+        discounted = math.exp(-market.r * market.T) * paths.terminal
+        se = discounted.std(ddof=1) / math.sqrt(len(discounted))
+        assert discounted.mean() == pytest.approx(market.s0, abs=3.0 * se), scheme
 
 
 def test_risk_neutralize_nig_esscher_fields():
@@ -219,11 +272,17 @@ def test_risk_neutralize_vg_mean_correct_fields():
     assert rnm.model.x0 == 0.0
 
 
-def test_risk_neutralize_vg_esscher_inserts_tiny_start():
+def test_risk_neutralize_vg_esscher_keeps_zero_start():
     market = MarketData(s0=100.0, r=0.1, T=1.0)
-    rnm = risk_neutralize(VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0), market, ESSCHER)
-    assert rnm.model.x0 == pytest.approx(1e-8)
-    assert rnm.drift_rate == pytest.approx(market.r, abs=1e-12)
+    for mv in [VG_CLOCK, VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)]:
+        rnm = risk_neutralize(mv, market, ESSCHER)
+        assert rnm.model.x0 == 0.0
+        assert rnm.drift_rate == pytest.approx(market.r, abs=1e-12)
+        # x0 = 0 makes the tilt equation linear: theta* = -beta/sigma^2 - 1/2
+        assert rnm.esscher.theta_star == pytest.approx(-mv.beta / mv.sigma**2 - 0.5, abs=1e-12)
+        assert abs(rnm.esscher.residual) <= 1e-10
+    assert rnm.esscher.theta_star == pytest.approx(-0.3564, abs=1e-12)
+    assert risk_neutralize(VG_CLOCK, market, ESSCHER).esscher.theta_star == pytest.approx(9.24997, abs=1e-5)
 
 
 def test_risk_neutralize_is_deterministic():
