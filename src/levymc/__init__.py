@@ -42,8 +42,6 @@ from .pricing import (
     Payoff,
     european_call_nig_closed,
     nig_tail_probability,
-    payoff_asian_call,
-    payoff_european_call,
     price_mc,
 )
 from .sampling import (
@@ -92,8 +90,6 @@ __all__ = [
     "nig_esscher",
     "nig_levy_density",
     "nig_tail_probability",
-    "payoff_asian_call",
-    "payoff_european_call",
     "price_mc",
     "risk_neutralize",
     "sample_gamma",

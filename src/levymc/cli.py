@@ -111,9 +111,14 @@ def _reject_unknown(mapping: dict, fields: tuple[str, ...], path: str) -> None:
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    # json also parses NaN, +-Infinity and integers past the float range; no field accepts them
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _as_int(value, path: str) -> int:
@@ -270,10 +275,11 @@ def _failed_rows(cfg: RunConfig, measure: str, scheme: str, message: str) -> lis
 def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     """Price every requested (measure x scheme x strike) cell.
 
-    Paths are simulated once per (measure, scheme) and reused across strikes
-    (common random numbers), so prices are comparable across strikes and the
-    whole table is deterministic for a fixed seed.  A measure that fails to
-    exist, or a non-finite price, SE or CI, yields a row whose status says so.
+    Paths are simulated once per (measure, scheme), each reduced to its
+    terminal spot and average, and reused across strikes (common random
+    numbers), so prices are comparable across strikes and the whole table is
+    deterministic for a fixed seed.  A measure that fails to exist, or a
+    non-finite price, SE or CI, yields a row whose status says so.
     """
     rows: list[ResultRow] = []
     grid = PathGrid(maturity=cfg.market.T, n_steps=cfg.n_steps)
@@ -309,7 +315,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
                     closed_form=closed.get(strike) if measure == ESSCHER else None,
                     status="ok" if finite else "non-finite result",
                 ))
-            del paths  # free this matrix before simulate_paths allocates the next one
+            del paths  # free these two n-vectors before simulate_paths allocates the next ones
     return rows
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -15,8 +14,6 @@ from .special_fn import QuadratureSpec, integrate
 __all__ = [
     "Payoff",
     "McResult",
-    "payoff_european_call",
-    "payoff_asian_call",
     "price_mc",
     "nig_tail_probability",
     "european_call_nig_closed",
@@ -44,21 +41,13 @@ class Payoff:
             raise ValueError(f"strike must be >= 0, got {self.strike}")
 
     def evaluate(self, paths: PathSet) -> np.ndarray:
-        """The payoff on every path, from its terminal spot or its precomputed average."""
+        """The payoff on every path, from its terminal spot or its average.
+
+        (S_T - K)+ for the European call; ((1/s) * sum_i S_{t_i} - K)+ over
+        the monitored dates t_1..t_s (t_0 excluded) for the Asian call.
+        """
         underlying = paths.terminal if self.kind == EUROPEAN_CALL else paths.average
         return np.maximum(underlying - self.strike, 0.0)
-
-
-def payoff_european_call(path: np.ndarray, strike: float) -> np.ndarray:
-    """(S_T - K)+ from the final monitored spot; works on a path or a path matrix."""
-    terminal = np.asarray(path, dtype=float)[..., -1]
-    return np.maximum(terminal - strike, 0.0)
-
-
-def payoff_asian_call(path: np.ndarray, strike: float) -> np.ndarray:
-    """((1/s) * sum_i S_{t_i} - K)+ over the monitored dates t_1..t_s (t_0 excluded)."""
-    average = np.asarray(path, dtype=float).mean(axis=-1)
-    return np.maximum(average - strike, 0.0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,7 @@ class McResult:
 
 def price_mc(
     rnm: RiskNeutralModel,
-    payoff: Union[Payoff, Callable[[np.ndarray], np.ndarray]],
+    payoff: Payoff,
     grid: PathGrid,
     n_paths: int,
     seed: int,
@@ -98,13 +87,11 @@ def price_mc(
 ) -> McResult:
     """Discounted Monte Carlo price: exp(-r*T) times the mean simulated payoff.
 
-    Deterministic for a fixed seed regardless of worker count.  ``payoff`` may
-    be a :class:`Payoff` or any callable mapping the (n_paths, s) spot matrix
-    to a payoff vector.
+    Deterministic for a fixed seed regardless of worker count.  The payoff
+    reads each path's terminal spot or average; no path is stored.
     """
     paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
-    raw = payoff.evaluate(paths) if isinstance(payoff, Payoff) else payoff(paths.spots)
-    discounted = math.exp(-rnm.market.r * grid.maturity) * np.asarray(raw, dtype=float)
+    discounted = math.exp(-rnm.market.r * grid.maturity) * payoff.evaluate(paths)
     return McResult.from_discounted_payoffs(discounted, seed)
 
 

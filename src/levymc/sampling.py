@@ -8,9 +8,11 @@ is the only place where scheme/model compatibility is defined, and
 Reproducibility model: every simulation consumes randomness through SFC64
 streams keyed by (seed, block index), one ``SeedSequence(seed,
 spawn_key=(block,))`` per block (stream layout v2, ``STREAM_LAYOUT``).  Paths
-are generated in fixed-size blocks and written into their block positions, so
-the output is bit-identical across runs and across any number of workers.  The
-block size is a build constant; changing it changes the stream layout.
+are generated in fixed-size blocks; each block is reduced to its paths'
+terminal spots and averages, written into their block positions, so no
+(n_paths, s) matrix is ever held and the output is bit-identical across runs
+and across any number of workers.  The block size is a build constant;
+changing it changes the stream layout.
 """
 from __future__ import annotations
 
@@ -126,23 +128,20 @@ class PathGrid:
 
 @dataclass
 class PathSet:
-    """Simulated spot trajectories: spots[i, j] = S at dates[j] on path i.
+    """The two per-path statistics the payoffs read, not the paths themselves.
 
-    ``average[i]`` is path i's arithmetic mean over the monitored dates,
-    ``spots.mean(axis=-1)``, reduced per block while the block is in cache.
+    ``terminal[i]`` is path i's spot at the maturity and ``average[i]`` its
+    arithmetic mean over the monitored dates t_1..t_s; both are reduced from
+    the path's block while the block is in cache.
     """
 
     grid: PathGrid
-    spots: np.ndarray
+    terminal: np.ndarray
     average: np.ndarray
 
     @property
     def n_paths(self) -> int:
-        return self.spots.shape[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.spots[:, -1]
+        return self.average.shape[0]
 
 
 # (gen, count) -> one column of count log increments
@@ -240,11 +239,12 @@ def simulate_paths(
     scheme: str | None = None,
     workers: int = 1,
 ) -> PathSet:
-    """Spot paths from the named scheme, or the model's default one.
+    """Terminal spots and averages of paths from the named scheme, or the model's default one.
 
     Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
-    stream, one step at a time, and becomes s0 * exp(cumsum) in its own slice;
-    its rows' averages over the dates go to the same slice of ``average``.
+    stream, one step at a time, into its own (rows, s) buffer, which becomes
+    s0 * exp(cumsum) in place; its last column and its row means go to the
+    block's slice of ``terminal`` and ``average``.
     """
     scheme = scheme or MODEL_SCHEMES[rnm.model_kind][0]
     if scheme not in SCHEMES:
@@ -255,22 +255,23 @@ def simulate_paths(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     step = make_step(rnm, grid.dt)
-    spots = np.empty((n_paths, grid.n_steps))
+    terminal = np.empty(n_paths)
     average = np.empty(n_paths)
     spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
     def run(span: tuple[int, int, int]) -> None:
         block_index, lo, hi = span
         gen = _generator(seed, block_index)
-        block = spots[lo:hi]
+        block = np.empty((hi - lo, grid.n_steps))
         for j in range(grid.n_steps):
             block[:, j] = step(gen, hi - lo)
-        # in place and per block: no second (n_paths, s) matrix, and the work runs on the pool
+        # in place and per block: only this block's paths are ever held, and the work runs on the pool
         np.cumsum(block, axis=1, out=block)
         np.exp(block, out=block)
         block *= rnm.market.s0
+        terminal[lo:hi] = block[:, -1]
         np.mean(block, axis=1, out=average[lo:hi])
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
         list(pool.map(run, spans))
-    return PathSet(grid=grid, spots=spots, average=average)
+    return PathSet(grid=grid, terminal=terminal, average=average)

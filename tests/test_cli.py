@@ -84,6 +84,15 @@ def test_parse_error_reports_field_path():
     for extra, pair in [({"lam": 1.0}, "'lam' and 'lambda'"), ({"gamma_rate": 0.2}, "'gamma_rate' and 'gamma'")]:
         with pytest.raises(ConfigError, match=f"config.params: give only one of {pair}"):
             parse_config(json.dumps(dict(MINIMAL_NIG, model="vg", params=dict(vg_subordinated, **extra))))
+    # json writes and parses NaN, Infinity and integers past the float range; no field takes them
+    for doc, field in [
+        (dict(MINIMAL_NIG, strikes=[math.inf]), r"config\.strikes\[0\]"),
+        (dict(MINIMAL_NIG, market=dict(MINIMAL_NIG["market"], r=math.nan)), r"config\.market\.r"),
+        (dict(MINIMAL_NIG, params=dict(MINIMAL_NIG["params"], alpha=math.inf)), r"config\.params\.alpha"),
+        (dict(MINIMAL_NIG, strikes=[34.0, 10**400]), r"config\.strikes\[1\]"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{field}: expected a finite number"):
+            parse_config(json.dumps(doc))
 
 
 def test_parse_rejects_invariant_violations():
@@ -256,6 +265,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     bad.write_text("{\"model\": \"heston\"}")
     assert main(["--config", str(bad)]) == 1
     capsys.readouterr()
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text(json.dumps(dict(MINIMAL_NIG, strikes=[math.inf])))
+    assert main(["--config", str(infinite)]) == 1
+    assert "price: error: config.strikes[0]: expected a finite number" in capsys.readouterr().err
 
 
 def test_cli_vg_lecuyer_esscher_is_ok(capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levymc.levy_models import NigParams
 from levymc.measures import ESSCHER, MarketData, risk_neutralize
@@ -13,41 +15,37 @@ from levymc.pricing import (
     Payoff,
     european_call_nig_closed,
     nig_tail_probability,
-    payoff_asian_call,
-    payoff_european_call,
     price_mc,
 )
-from levymc.sampling import PathGrid, simulate_paths
+from levymc.sampling import PathGrid, PathSet, simulate_paths
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
 MARKET = MarketData(s0=36.0, r=0.1, T=1.0 / 12.0)
 
 
+def _path_set(terminal, average) -> PathSet:
+    """A hand-built path set: one terminal spot and one average per path."""
+    return PathSet(PathGrid(1.0, 2), terminal=np.array(terminal), average=np.array(average))
+
+
 def test_payoff_european_call_cases():
-    assert payoff_european_call(np.array([38.0, 40.0]), 34.0) == 6.0
-    assert payoff_european_call(np.array([38.0, 30.0]), 34.0) == 0.0
-    assert payoff_european_call(np.array([30.0, 41.5]), 0.0) == 41.5
+    # (S_T - K)+ reads the terminal spot, whatever the average
+    paths = _path_set([40.0, 30.0, 41.5], [36.0, 36.0, 36.0])
+    assert np.array_equal(Payoff(EUROPEAN_CALL, 34.0).evaluate(paths), [6.0, 0.0, 7.5])
+    assert np.array_equal(Payoff(EUROPEAN_CALL, 0.0).evaluate(paths), [40.0, 30.0, 41.5])
 
 
 def test_payoff_asian_call_cases():
-    flat = np.full(16, 36.0)
-    assert payoff_asian_call(flat, 34.0) == 2.0
-    assert payoff_asian_call(flat, 40.0) == 0.0
-    assert payoff_asian_call(np.array([30.0, 42.0]), 34.0) == 2.0
+    # (A - K)+ reads the average over the monitored dates, whatever the terminal spot
+    paths = _path_set([36.0, 42.0, 30.0], [36.0, 36.0, 33.0])
+    assert np.array_equal(Payoff(ASIAN_CALL, 34.0).evaluate(paths), [2.0, 2.0, 0.0])
+    assert np.array_equal(Payoff(ASIAN_CALL, 40.0).evaluate(paths), [0.0, 0.0, 0.0])
 
 
-def test_payoffs_vectorize_over_path_matrices():
-    spots = np.array([[35.0, 37.0], [33.0, 30.0]])
-    np.testing.assert_allclose(payoff_european_call(spots, 34.0), [3.0, 0.0])
-    np.testing.assert_allclose(payoff_asian_call(spots, 34.0), [2.0, 0.0])
-
-
-@pytest.mark.parametrize("kind, reference", [(EUROPEAN_CALL, payoff_european_call), (ASIAN_CALL, payoff_asian_call)])
-def test_payoff_evaluate_matches_payoff_functions(kind, reference):
-    rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
-    paths = simulate_paths(rnm, PathGrid(MARKET.T, 16), 5000, seed=17, workers=2)
-    for strike in (0.0, 34.0, 36.0, 40.0):
-        assert np.array_equal(Payoff(kind, strike).evaluate(paths), reference(paths.spots, strike))
+def test_payoffs_read_terminal_and_average():
+    paths = _path_set([37.0, 30.0], [36.0, 31.5])
+    assert np.array_equal(Payoff(EUROPEAN_CALL, 34.0).evaluate(paths), [3.0, 0.0])
+    assert np.array_equal(Payoff(ASIAN_CALL, 34.0).evaluate(paths), [2.0, 0.0])
 
 
 def test_payoff_validation():
@@ -57,11 +55,12 @@ def test_payoff_validation():
         Payoff(EUROPEAN_CALL, -1.0)
 
 
-def test_price_mc_constant_payoff():
-    rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
-    result = price_mc(rnm, lambda spots: np.ones(len(spots)), PathGrid(MARKET.T, 2), 500, seed=5)
-    assert result.estimate == pytest.approx(math.exp(-MARKET.r * MARKET.T), rel=1e-14)
+def test_mc_result_constant_payoffs():
+    discount = math.exp(-MARKET.r * MARKET.T)
+    result = McResult.from_discounted_payoffs(np.full(500, discount), seed=5)
+    assert result.estimate == pytest.approx(discount, rel=1e-14)
     assert result.std_error == pytest.approx(0.0, abs=1e-14)
+    assert result.n_paths == 500 and result.seed == 5
 
 
 def test_price_mc_zero_strike_recovers_spot():
@@ -125,12 +124,35 @@ def test_closed_form_agrees_with_mc():
         assert abs(closed - mc.estimate) <= 3.0 * mc.std_error
 
 
-def test_mc_price_monotone_in_strike_with_common_paths():
+@pytest.fixture(scope="module")
+def common_paths() -> PathSet:
     rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
-    paths = simulate_paths(rnm, PathGrid(MARKET.T, 16), 20_000, seed=31)
+    return simulate_paths(rnm, PathGrid(MARKET.T, 16), 20_000, seed=31)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([EUROPEAN_CALL, ASIAN_CALL]),
+    strikes=st.lists(st.floats(0.0, 2.0 * MARKET.s0), min_size=3, max_size=3).map(sorted),
+)
+def test_mc_price_monotone_in_strike_with_common_paths(common_paths, kind, strikes):
+    # on common paths every per-path payoff is non-increasing and convex in K,
+    # and no larger than its underlying, so the MC prices inherit all three
+    k1, k2, k3 = strikes
+    assume(k1 < k3)
     discount = math.exp(-MARKET.r * MARKET.T)
-    prices = [discount * payoff_european_call(paths.spots, k).mean() for k in (34.0, 35.0, 36.0, 37.0)]
-    assert all(a >= b for a, b in zip(prices, prices[1:]))
+    p1, p2, p3 = (
+        McResult.from_discounted_payoffs(discount * Payoff(kind, k).evaluate(common_paths), seed=31).estimate
+        for k in strikes
+    )
+    # exact: K -> max(x - K, 0), the positive scaling and the summation are all monotone in floating point
+    assert p1 >= p2 >= p3 >= 0.0
+    underlying = common_paths.terminal if kind == EUROPEAN_CALL else common_paths.average
+    assert p1 <= float(np.mean(discount * underlying))
+    # convex up to rounding: a few ulps of the largest magnitude in play per path
+    w = (k3 - k2) / (k3 - k1)
+    allowance = 64 * np.finfo(float).eps * (discount * float(np.max(underlying)) + k3)
+    assert p2 <= w * p1 + (1.0 - w) * p3 + allowance
 
 
 def test_call_lower_bound():
@@ -145,7 +167,7 @@ def test_call_lower_bound():
 def test_asian_below_european_paired():
     rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
     paths = simulate_paths(rnm, PathGrid(MARKET.T, 16), 50_000, seed=41)
-    diff = payoff_asian_call(paths.spots, 35.0) - payoff_european_call(paths.spots, 35.0)
+    diff = Payoff(ASIAN_CALL, 35.0).evaluate(paths) - Payoff(EUROPEAN_CALL, 35.0).evaluate(paths)
     se = diff.std(ddof=1) / math.sqrt(len(diff))
     assert diff.mean() <= 3.0 * se
 
