@@ -11,11 +11,11 @@ from .levy_models import (
     NigParams,
     VgMeanVarianceParams,
     VgParams,
+    cumulant,
     gamma_density,
     nig_cumulant,
     nig_density,
     nig_levy_density,
-    vg_char_function,
     vg_cumulant,
     vg_density,
     vg_from_mean_variance,
@@ -29,8 +29,6 @@ from .measures import (
     MeasureExistenceError,
     RiskNeutralModel,
     esscher_theta,
-    mean_correct_omega_nig,
-    mean_correct_omega_vg,
     nig_esscher,
     risk_neutralize,
     vg_esscher,
@@ -77,14 +75,13 @@ __all__ = [
     "VgMeanVarianceParams",
     "VgParams",
     "bessel_k",
+    "cumulant",
     "esscher_theta",
     "european_call_nig_closed",
     "find_root",
     "gamma_density",
     "integrate",
     "log_gamma",
-    "mean_correct_omega_nig",
-    "mean_correct_omega_vg",
     "nig_cumulant",
     "nig_density",
     "nig_esscher",
@@ -96,7 +93,6 @@ __all__ = [
     "sample_inverse_gaussian",
     "sample_standard_normal",
     "simulate_paths",
-    "vg_char_function",
     "vg_cumulant",
     "vg_density",
     "vg_esscher",

@@ -22,6 +22,7 @@ from .levy_models import NigParams, VgMeanVarianceParams, VgParams
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
 from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, Payoff, european_call_nig_closed
 from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, simulate_paths
+from .special_fn import QuadratureError
 
 __all__ = [
     "ConfigError",
@@ -254,8 +255,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+        raise ConfigError(f"config: invalid JSON: {exc}") from exc
     return config_from_dict(doc)
 
 
@@ -290,8 +291,8 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
         try:
             for k in cfg.strikes:
                 closed[k] = european_call_nig_closed(cfg.params, cfg.market, k)
-        except MeasureExistenceError:
-            closed = {}  # benchmark column stays empty; the row status explains why
+        except (MeasureExistenceError, QuadratureError):
+            closed = {}  # benchmark column stays empty; a missing measure also fails the row status
 
     for measure in cfg.measures:
         try:

@@ -9,9 +9,13 @@ Conventions used throughout:
   ``gamma_rate``, plus a deterministic drift rate ``x0``:
   ``Y_t = x0*t + beta*X_t + sigma*B(X_t)``, ``X_t ~ Gamma(lam*t, gamma_rate)``.
 * Cumulants are per unit time: ``E[exp(theta * L_t)] = exp(t * cumulant(theta))``.
+  ``cumulant(p, theta)`` is the one formula per model.  ``theta`` may be
+  complex with its real part in the strip where the exponential moment
+  exists; ``exp(t * cumulant(p, 1j * u))`` is the characteristic function.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,13 +28,13 @@ __all__ = [
     "VgParams",
     "VgMeanVarianceParams",
     "GammaParams",
+    "cumulant",
     "nig_density",
     "nig_cumulant",
     "nig_mean_rate",
     "nig_levy_density",
     "gamma_density",
     "vg_cumulant",
-    "vg_char_function",
     "vg_density",
     "vg_from_mean_variance",
     "vg_to_mean_variance",
@@ -56,8 +60,8 @@ class NigParams:
 
     @property
     def gamma_bar(self) -> float:
-        """sqrt(alpha^2 - beta^2), the steepness under the symmetric part."""
-        return math.sqrt(self.alpha**2 - self.beta**2)
+        """sqrt(alpha^2 - beta^2), the steepness under the symmetric part; beta squared as in nig_cumulant."""
+        return math.sqrt(self.alpha**2 - self.beta * self.beta)
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,10 @@ class VgParams:
             raise ValueError(f"gamma_rate must be > 0, got {self.gamma_rate}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+
+    def brownian_cumulant(self, theta):
+        """q(theta) = beta*theta + sigma^2 theta^2/2: the Brownian part's cumulant per unit clock time."""
+        return self.beta * theta + 0.5 * self.sigma**2 * (theta * theta)
 
 
 @dataclass(frozen=True)
@@ -142,18 +150,19 @@ def nig_density(p: NigParams, x, t: float = 1.0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def nig_cumulant(p: NigParams, theta: float) -> float:
-    """Per-unit-time cumulant: E[exp(theta X_t)] = exp(t * nig_cumulant(theta)).
+def nig_cumulant(p: NigParams, theta):
+    """Per-unit-time cumulant mu*theta + delta*(gamma_bar - sqrt(alpha^2 - (beta + theta)^2)).
 
-    Defined for |beta + theta| <= alpha; outside that strip the exponential
-    moment does not exist and a ValueError is raised.
+    Defined for |beta + Re theta| <= alpha, where the principal square root
+    is the analytic one; outside that strip a ValueError is raised.
     """
-    if abs(p.beta + theta) > p.alpha:
+    b = p.beta + theta
+    if abs(b.real) > p.alpha:
         raise ValueError(
-            f"exponential moment undefined: |beta + theta| = {abs(p.beta + theta):g} "
-            f"exceeds alpha = {p.alpha:g}"
+            f"exponential moment undefined: |beta + theta| = {abs(b.real):g} exceeds alpha = {p.alpha:g}"
         )
-    return p.mu * theta + p.delta * (p.gamma_bar - math.sqrt(p.alpha**2 - (p.beta + theta) ** 2))
+    sqrt = cmath.sqrt if isinstance(theta, complex) else math.sqrt
+    return p.mu * theta + p.delta * (p.gamma_bar - sqrt(p.alpha**2 - b * b))
 
 
 def nig_mean_rate(p: NigParams) -> float:
@@ -194,27 +203,35 @@ def gamma_density(g: GammaParams, x, t: float = 1.0):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def vg_cumulant(p: VgParams, theta: float) -> float:
-    """Per-unit-time cumulant x0*theta - lam*log(1 - (beta*theta + sigma^2 theta^2/2)/gamma_rate).
+def _log1p(w: complex) -> complex:
+    # principal log(1 + w) for Re(1 + w) > 0, with log|1 + w| = log1p(Re w) + log hypot(1, t),
+    # t = Im w / (1 + Re w): no log of a rounded 1 + w, so a small |w| keeps its digits (cmath.log
+    # does not) and on the real axis this is math.log1p bit for bit
+    x = 1.0 + w.real
+    t = w.imag / x
+    return complex(math.log1p(w.real) + 0.5 * math.log1p(t * t), math.atan2(w.imag, x))
 
-    Requires beta*theta + sigma^2*theta^2/2 < gamma_rate for the exponential
-    moment to exist.
+
+def vg_cumulant(p: VgParams, theta):
+    """Per-unit-time cumulant x0*theta - lam*log(1 - q(theta)/gamma_rate), q = p.brownian_cumulant.
+
+    Requires q(Re theta) < gamma_rate, where Re(1 - q(theta)/gamma_rate) > 0
+    and the principal logarithm is the analytic one; else a ValueError is raised.
     """
-    quad_term = p.beta * theta + 0.5 * p.sigma**2 * theta**2
-    if quad_term >= p.gamma_rate:
+    q_re = p.brownian_cumulant(theta.real)
+    if q_re >= p.gamma_rate:
         raise ValueError(
-            f"exponential moment undefined: beta*theta + sigma^2*theta^2/2 = {quad_term:g} "
+            f"exponential moment undefined: beta*theta + sigma^2*theta^2/2 = {q_re:g} "
             f"is not below gamma_rate = {p.gamma_rate:g}"
         )
-    return p.x0 * theta - p.lam * math.log1p(-quad_term / p.gamma_rate)
+    if isinstance(theta, complex):
+        return p.x0 * theta - p.lam * _log1p(-p.brownian_cumulant(theta) / p.gamma_rate)
+    return p.x0 * theta - p.lam * math.log1p(-q_re / p.gamma_rate)
 
 
-def vg_char_function(mv: VgMeanVarianceParams, u, t: float):
-    """Characteristic function E[exp(i u Y_t)] of the unit-mean-clock VG (x0 = 0)."""
-    ua = np.asarray(u, dtype=float)
-    denom = 1.0 - 1j * ua * mv.beta * mv.nu + 0.5 * mv.sigma**2 * mv.nu * ua**2
-    out = denom ** (-t / mv.nu)
-    return complex(out) if np.isscalar(u) or ua.ndim == 0 else out
+def cumulant(p: NigParams | VgParams, theta):
+    """The per-unit-time cumulant of either model at real or complex theta."""
+    return (nig_cumulant if isinstance(p, NigParams) else vg_cumulant)(p, theta)
 
 
 def _vg_density_at_center(lam_t: float, sigma: float, gamma_rate: float, c: float) -> float:

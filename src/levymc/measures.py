@@ -3,7 +3,8 @@
 Price dynamics are S_t = S0 * exp(drift_rate * t + L_t), where L is the Levy
 process under the chosen pricing measure.  Discounted prices are martingales
 exactly when drift_rate = r - cumulant(1), with the cumulant taken under the
-pricing measure, and that is how every drift here is assembled:
+pricing measure, and that is how every drift here is assembled, from the one
+``levy_models.cumulant`` of each model:
 
 * Esscher: tilt the law by exp(theta* x) with theta* solving
   ``cumulant(theta + 1) = cumulant(theta)``, so the tilted cumulant at 1
@@ -15,16 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
-from .levy_models import (
-    NigParams,
-    VgMeanVarianceParams,
-    VgParams,
-    nig_cumulant,
-    vg_cumulant,
-    vg_from_mean_variance,
-)
+from .levy_models import NigParams, VgMeanVarianceParams, VgParams, cumulant, vg_from_mean_variance
 from .special_fn import find_root
 
 __all__ = [
@@ -38,8 +32,6 @@ __all__ = [
     "nig_esscher",
     "nig_esscher_bracket",
     "vg_esscher",
-    "mean_correct_omega_nig",
-    "mean_correct_omega_vg",
     "risk_neutralize",
 ]
 
@@ -47,8 +39,6 @@ ESSCHER = "esscher"
 MEAN_CORRECT = "mean_correct"
 
 _RESIDUAL_TOL = 1e-10
-
-ModelParams = Union[NigParams, VgParams, VgMeanVarianceParams]
 
 
 class MeasureExistenceError(ValueError):
@@ -75,7 +65,7 @@ class EsscherSolution:
     """Exponential tilt theta* with the tilted parameter set and its residual."""
 
     theta_star: float
-    risk_neutral_params: Union[NigParams, VgParams]
+    risk_neutral_params: NigParams | VgParams
     target: float
     residual: float
 
@@ -90,7 +80,7 @@ class EsscherSolution:
 class RiskNeutralModel:
     """A simulatable pricing model: risk-neutral parameters plus the drift convention."""
 
-    model: Union[NigParams, VgParams]
+    model: NigParams | VgParams
     measure: str
     drift_rate: float
     omega: float
@@ -103,20 +93,20 @@ class RiskNeutralModel:
 
 
 def esscher_theta(
-    cumulant: Callable[[float], float],
+    kappa: Callable[[float], float],
     target: float,
     bracket: tuple[float, float],
     tol: float = 1e-12,
 ) -> float:
-    """Solve cumulant(theta + 1) - cumulant(theta) = target on the given bracket.
+    """Solve kappa(theta + 1) - kappa(theta) = target on the given bracket, kappa a cumulant.
 
-    The cumulant must be defined on [bracket_lo, bracket_hi + 1].  Raises
+    kappa must be defined on [bracket_lo, bracket_hi + 1].  Raises
     MeasureExistenceError when the bracket shows no sign change.
     """
     lo, hi = bracket
 
     def excess_return(theta: float) -> float:
-        return cumulant(theta + 1.0) - cumulant(theta) - target
+        return kappa(theta + 1.0) - kappa(theta) - target
 
     f_lo, f_hi = excess_return(lo), excess_return(hi)
     if f_lo * f_hi > 0:
@@ -170,7 +160,7 @@ def nig_esscher(p: NigParams, target: float = 0.0) -> EsscherSolution:
             f"exceeds alpha = {p.alpha:g}"
         )
     theta_star = beta_star - p.beta
-    residual = nig_cumulant(p, theta_star + 1.0) - nig_cumulant(p, theta_star) - target
+    residual = cumulant(p, theta_star + 1.0) - cumulant(p, theta_star) - target
     rn = NigParams(alpha=p.alpha, beta=beta_star, mu=p.mu, delta=p.delta)
     return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, target=target, residual=residual)
 
@@ -200,84 +190,46 @@ def vg_esscher(p: VgParams) -> EsscherSolution:
         half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         roots = ([c / half] if half != 0.0 else []) + ([half / a] if a != 0.0 else [])
 
-    def clock_rate(theta: float) -> float:
-        # q rounded as vg_cumulant rounds it, so both agree on the domain
-        return p.gamma_rate - (p.beta * theta + 0.5 * s2 * (theta * theta))
-
-    inside = [t for t in roots if clock_rate(t) > 0 and clock_rate(t + 1.0) > 0]
+    q = p.brownian_cumulant
+    inside = [t for t in roots if q(t) < p.gamma_rate and q(t + 1.0) < p.gamma_rate]
     if not inside:
         raise MeasureExistenceError(
             "Esscher measure does not exist: no real root of the tilt equation keeps theta "
             "and theta + 1 inside the cumulant domain"
         )
     theta_star = inside[0]
-    residual = vg_cumulant(p, theta_star + 1.0) - vg_cumulant(p, theta_star)
-    rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=clock_rate(theta_star),
+    residual = cumulant(p, theta_star + 1.0) - cumulant(p, theta_star)
+    rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=p.gamma_rate - q(theta_star),
                   beta=p.beta + s2 * theta_star, sigma=p.sigma)
     return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, target=0.0, residual=residual)
 
 
-def mean_correct_omega_nig(p: NigParams) -> float:
-    """Drift correction omega = -cumulant(1) for the NIG process.
-
-    omega = -mu - delta*sqrt(alpha^2 - beta^2) + delta*sqrt(alpha^2 - (1 + beta)^2);
-    requires |beta + 1| <= alpha for E[exp(X_1)] to exist.
-    """
-    if abs(p.beta + 1.0) > p.alpha:
-        raise MeasureExistenceError(
-            f"exponential moment does not exist: |beta + 1| = {abs(p.beta + 1.0):g} "
-            f"exceeds alpha = {p.alpha:g}"
-        )
-    return -p.mu - p.delta * p.gamma_bar + p.delta * math.sqrt(p.alpha**2 - (1.0 + p.beta) ** 2)
-
-
-def mean_correct_omega_vg(mv: VgMeanVarianceParams) -> float:
-    """Drift correction omega = log(1 - beta*nu - sigma^2*nu/2)/nu for the unit-clock VG."""
-    arg = 1.0 - mv.beta * mv.nu - 0.5 * mv.sigma**2 * mv.nu
-    if arg <= 0:
-        raise MeasureExistenceError(
-            f"exponential moment does not exist: 1 - beta*nu - sigma^2*nu/2 = {arg:g} <= 0"
-        )
-    return math.log(arg) / mv.nu
-
-
-def risk_neutralize(model: ModelParams, market: MarketData, measure: str) -> RiskNeutralModel:
+def risk_neutralize(model: NigParams | VgParams | VgMeanVarianceParams, market: MarketData, measure: str) -> RiskNeutralModel:
     """Assemble a simulatable risk-neutral model for the requested measure.
 
-    drift_rate is always r - cumulant(1) under the returned parameter set, so
-    the discounted spot is a martingale by construction; for the mean
-    correcting measure this equals r + omega.
+    drift_rate is r - cumulant(1) under the returned parameter set, so the
+    discounted spot is a martingale by construction; for the mean correcting
+    measure that is r + omega with omega = -cumulant(1) of the physical law.
+    A mean-variance VG comes back in its subordinated form.
     """
     if measure not in (ESSCHER, MEAN_CORRECT):
         raise ValueError(f"unknown measure {measure!r}; expected {ESSCHER!r} or {MEAN_CORRECT!r}")
+    if isinstance(model, VgMeanVarianceParams):
+        model = vg_from_mean_variance(model)
 
     if measure == ESSCHER:
-        if isinstance(model, NigParams):
-            sol = nig_esscher(model)
-        elif isinstance(model, VgMeanVarianceParams):
-            sol = vg_esscher(vg_from_mean_variance(model))
-        else:
-            sol = vg_esscher(model)
+        sol = nig_esscher(model) if isinstance(model, NigParams) else vg_esscher(model)
         rn = sol.risk_neutral_params
-        cum1 = nig_cumulant(rn, 1.0) if isinstance(rn, NigParams) else vg_cumulant(rn, 1.0)
         return RiskNeutralModel(
-            model=rn, measure=ESSCHER, drift_rate=market.r - cum1,
+            model=rn, measure=ESSCHER, drift_rate=market.r - cumulant(rn, 1.0),
             omega=0.0, market=market, esscher=sol,
         )
 
-    if isinstance(model, VgMeanVarianceParams):
-        omega = mean_correct_omega_vg(model)
-        rn_params: Union[NigParams, VgParams] = vg_from_mean_variance(model)
-    elif isinstance(model, NigParams):
-        omega = mean_correct_omega_nig(model)
-        rn_params = model
-    else:
-        try:
-            omega = -vg_cumulant(model, 1.0)
-        except ValueError as exc:
-            raise MeasureExistenceError(str(exc)) from exc
-        rn_params = model
+    try:
+        omega = -cumulant(model, 1.0)
+    except ValueError as exc:
+        raise MeasureExistenceError(str(exc)) from exc
     return RiskNeutralModel(
-        model=rn_params, measure=MEAN_CORRECT, drift_rate=market.r + omega,
+        model=model, measure=MEAN_CORRECT, drift_rate=market.r + omega,
         omega=omega, market=market, esscher=None,
     )

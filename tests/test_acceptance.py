@@ -18,17 +18,13 @@ from levymc.levy_models import (
     nig_cumulant,
     nig_density,
     nig_levy_density,
-    vg_cumulant,
     vg_density,
-    vg_from_mean_variance,
 )
 from levymc.measures import (
     ESSCHER,
     MEAN_CORRECT,
     MarketData,
     esscher_theta,
-    mean_correct_omega_nig,
-    mean_correct_omega_vg,
     nig_esscher,
     nig_esscher_bracket,
     risk_neutralize,
@@ -192,11 +188,16 @@ def test_criterion_6_martingale_property():
 
 
 def test_criterion_7_measure_identities():
-    # omega = -cumulant(1), both models
-    om_nig = mean_correct_omega_nig(NIG_BENCH)
-    ok_nig_omega = abs(om_nig + nig_cumulant(NIG_BENCH, 1.0)) <= 1e-12
-    om_vg = mean_correct_omega_vg(VG_BENCH_CLOCK)
-    ok_vg_omega = abs(om_vg + vg_cumulant(vg_from_mean_variance(VG_BENCH_CLOCK), 1.0)) <= 1e-12
+    # omega = -kappa(1), both models, against the paper's formulas
+    market = NIG_MARKETS[0]
+    p, mv = NIG_BENCH, VG_BENCH_CLOCK
+    om_nig = risk_neutralize(p, market, MEAN_CORRECT).omega
+    paper_nig = -p.mu - p.delta * math.sqrt(p.alpha**2 - p.beta**2) + p.delta * math.sqrt(
+        p.alpha**2 - (1.0 + p.beta) ** 2
+    )
+    ok_nig_omega = abs(om_nig - paper_nig) <= 1e-12
+    om_vg = risk_neutralize(mv, market, MEAN_CORRECT).omega
+    ok_vg_omega = abs(om_vg - math.log(1.0 - mv.beta * mv.nu - 0.5 * mv.sigma**2 * mv.nu) / mv.nu) <= 1e-12
 
     # Esscher residuals
     sol_nig = nig_esscher(NIG_BENCH)

@@ -63,6 +63,8 @@ def test_parse_error_reports_field_path():
         parse_config(json.dumps(dict(MINIMAL_NIG, params={"alpha": "big", "beta": 0, "mu": 0, "delta": 1})))
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON: Exceeds the limit"):
+        parse_config('{"strikes": [' + "1" * 5001 + "]}")  # past Python's integer digit limit
     for field, value in [("measure", 1), ("measure", None), ("model", ["nig"]), ("params", 5), ("payoff", [])]:
         with pytest.raises(ConfigError, match=f"config.{field}"):
             parse_config(json.dumps(dict(MINIMAL_NIG, **{field: value})))
@@ -269,6 +271,10 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     infinite.write_text(json.dumps(dict(MINIMAL_NIG, strikes=[math.inf])))
     assert main(["--config", str(infinite)]) == 1
     assert "price: error: config.strikes[0]: expected a finite number" in capsys.readouterr().err
+    digits = tmp_path / "digits.json"
+    digits.write_text(json.dumps(MINIMAL_NIG).replace("[34.0]", "[" + "1" * 5001 + "]"))
+    assert main(["--config", str(digits)]) == 1
+    assert "price: error: config: invalid JSON: Exceeds the limit" in capsys.readouterr().err
 
 
 def test_cli_vg_lecuyer_esscher_is_ok(capsys):
@@ -289,6 +295,18 @@ def test_non_finite_result_is_not_ok(tmp_path, capsys, s0):
     cfg_path = tmp_path / "overflow.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["--config", str(cfg_path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_closed_form_quadrature_failure_leaves_column_empty(tmp_path, capsys):
+    # at s0 = 1e50 the tail quadrature of the NIG closed form does not converge
+    doc = dict(MINIMAL_NIG, market={"s0": 1e50, "r": 0.1, "T": 1.0 / 12.0}, n_paths=1000)
+    rows = run_experiment(parse_config(json.dumps(doc)))
+    assert [(row.status, row.closed_form) for row in rows] == [("ok", None)]
+    cfg_path = tmp_path / "huge_spot.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path)]) == 0
     capsys.readouterr()
 
 

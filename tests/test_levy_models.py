@@ -8,18 +8,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levymc.levy_models import (
     GammaParams,
     NigParams,
     VgMeanVarianceParams,
     VgParams,
+    cumulant,
     gamma_density,
     nig_cumulant,
     nig_density,
     nig_levy_density,
     nig_mean_rate,
-    vg_char_function,
     vg_cumulant,
     vg_density,
     vg_from_mean_variance,
@@ -174,6 +176,11 @@ def test_vg_cumulant_matches_mgf_quadrature():
         assert mgf == pytest.approx(math.exp(vg_cumulant(p, theta)), rel=1e-5)
 
 
+def vg_char_function(mv: VgMeanVarianceParams, u: float, t: float) -> complex:
+    """E[exp(i u Y_t)] of the unit-mean-clock VG, from its cumulant on the imaginary axis."""
+    return cmath.exp(t * cumulant(vg_from_mean_variance(mv), 1j * u))
+
+
 def test_vg_char_function_basics():
     mv = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
     assert vg_char_function(mv, 0.0, 1.0) == pytest.approx(1.0)
@@ -191,6 +198,40 @@ def test_vg_char_function_matches_density_fourier():
         re = integrate(lambda x: math.cos(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
         im = integrate(lambda x: math.sin(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
         assert complex(re, im) == pytest.approx(vg_char_function(mv, u, 1.0), abs=1e-4)
+
+
+@st.composite
+def models_in_and_beyond_the_strip(draw):
+    """A NIG or VG parameter set, a real theta inside its strip and one beyond it."""
+    s = draw(st.floats(-0.99, 0.99))
+    if draw(st.booleans()):
+        alpha = draw(st.floats(0.5, 100.0))
+        p = NigParams(alpha=alpha, beta=alpha * draw(st.floats(-0.99, 0.99)),
+                      mu=draw(st.floats(-1.0, 1.0)), delta=draw(st.floats(1e-3, 10.0)))
+        # the strip is |beta + theta| <= alpha
+        return p, -p.beta + s * p.alpha, -p.beta + math.copysign(1.01 * p.alpha, s)
+    p = VgParams(x0=draw(st.floats(-1.0, 1.0)), lam=draw(st.floats(0.05, 20.0)),
+                 gamma_rate=draw(st.floats(0.05, 20.0)), beta=draw(st.floats(-1.0, 1.0)),
+                 sigma=draw(st.floats(0.05, 3.0)))
+    # the strip is q(theta) < gamma_rate, between the roots of q(theta) = gamma_rate
+    centre, half = -p.beta / p.sigma**2, math.sqrt(p.beta**2 + 2.0 * p.sigma**2 * p.gamma_rate) / p.sigma**2
+    return p, centre + s * half, centre + math.copysign(1.01 * half, s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(model=models_in_and_beyond_the_strip(), u=st.floats(-100.0, 100.0))
+# 31.856**2 (libm pow) and 31.856*31.856 round apart enough to move gamma_bar: kappa(0) = 0
+# needs beta^2 rounded one way in both
+@example(model=(NigParams(alpha=36.0, beta=31.856, mu=0.0, delta=1.0), 0.5, 5.0), u=1.0)
+def test_complex_cumulant_continues_the_real_one(model, u):
+    p, theta, beyond = model
+    assert cumulant(p, 0.0) == 0.0
+    assert cumulant(p, complex(theta, 0.0)) == pytest.approx(cumulant(p, theta), rel=1e-15, abs=0.0)
+    z = complex(theta, u)
+    assert cumulant(p, z.conjugate()) == pytest.approx(cumulant(p, z).conjugate(), rel=1e-15, abs=0.0)
+    assert abs(cmath.exp(cumulant(p, 1j * u))) <= 1.0
+    with pytest.raises(ValueError):
+        cumulant(p, complex(beyond, u))
 
 
 def test_vg_density_even_when_symmetric():

@@ -10,6 +10,7 @@ from levymc.levy_models import (
     NigParams,
     VgMeanVarianceParams,
     VgParams,
+    cumulant,
     nig_cumulant,
     nig_levy_density,
     vg_cumulant,
@@ -21,13 +22,12 @@ from levymc.measures import (
     MarketData,
     MeasureExistenceError,
     esscher_theta,
-    mean_correct_omega_nig,
-    mean_correct_omega_vg,
     nig_esscher,
     nig_esscher_bracket,
     risk_neutralize,
     vg_esscher,
 )
+from levymc.cli import PRESETS
 from levymc.sampling import PathGrid, simulate_paths
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
@@ -192,12 +192,16 @@ def test_vg_esscher_matches_bracketed_root_solve(sigma, nu, beta, x0):
         assert abs(sol.residual) <= 1e-10
 
 
+def mean_correct_omega(model) -> float:
+    return risk_neutralize(model, MARKET, MEAN_CORRECT).omega
+
+
 def test_omega_vg_degenerate_clock():
-    assert abs(mean_correct_omega_vg(VgMeanVarianceParams(beta=0.0, sigma=1e-6, nu=0.3))) <= 1e-10
+    assert abs(mean_correct_omega(VgMeanVarianceParams(beta=0.0, sigma=1e-6, nu=0.3))) <= 1e-10
 
 
 def test_omega_vg_value_and_mc_cross_check():
-    omega = mean_correct_omega_vg(VG_CLOCK)
+    omega = mean_correct_omega(VG_CLOCK)
     assert omega == pytest.approx(0.13352544843057332, abs=1e-12)  # direct formula evaluation
     # Monte Carlo oracle: exp(-omega) = E[exp(Y_1)] with 1e6 draws
     rng = np.random.Generator(np.random.Philox(key=np.array([404, 0], dtype=np.uint64)))
@@ -209,28 +213,43 @@ def test_omega_vg_value_and_mc_cross_check():
 
 
 def test_omega_vg_is_minus_cumulant_at_one():
+    # the paper's unit-clock form: omega = log(1 - beta*nu - sigma^2*nu/2)/nu
     for mv in [VG_CLOCK, VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)]:
-        omega = mean_correct_omega_vg(mv)
-        assert omega == pytest.approx(-vg_cumulant(vg_from_mean_variance(mv), 1.0), abs=1e-12)
+        paper = math.log(1.0 - mv.beta * mv.nu - 0.5 * mv.sigma**2 * mv.nu) / mv.nu
+        assert mean_correct_omega(mv) == pytest.approx(paper, abs=1e-12)
 
 
 def test_omega_vg_nonexistence():
     with pytest.raises(MeasureExistenceError):
-        mean_correct_omega_vg(VgMeanVarianceParams(beta=0.9, sigma=1.0, nu=2.0))
+        mean_correct_omega(VgMeanVarianceParams(beta=0.9, sigma=1.0, nu=2.0))
 
 
 def test_omega_nig_symmetry_point():
     # mu = 0, beta = -1/2: the two square roots coincide
-    assert mean_correct_omega_nig(NigParams(alpha=3.0, beta=-0.5, mu=0.0, delta=1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert mean_correct_omega(NigParams(alpha=3.0, beta=-0.5, mu=0.0, delta=1.0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_omega_nig_is_minus_cumulant_at_one():
-    assert mean_correct_omega_nig(NIG_BENCH) == pytest.approx(-nig_cumulant(NIG_BENCH, 1.0), abs=1e-12)
+    # the paper's form: omega = -mu - delta*sqrt(alpha^2 - beta^2) + delta*sqrt(alpha^2 - (1 + beta)^2)
+    p = NIG_BENCH
+    paper = -p.mu - p.delta * math.sqrt(p.alpha**2 - p.beta**2) + p.delta * math.sqrt(
+        p.alpha**2 - (1.0 + p.beta) ** 2
+    )
+    assert mean_correct_omega(p) == pytest.approx(paper, abs=1e-12)
 
 
 def test_omega_nig_nonexistence():
     with pytest.raises(MeasureExistenceError):
-        mean_correct_omega_nig(NigParams(alpha=1.2, beta=0.5, mu=0.0, delta=1.0))
+        mean_correct_omega(NigParams(alpha=1.2, beta=0.5, mu=0.0, delta=1.0))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_drift_is_r_minus_cumulant_at_one(preset):
+    # both measures assemble the drift from the one cumulant, bit for bit
+    for cfg in PRESETS[preset]():
+        for measure in (ESSCHER, MEAN_CORRECT):
+            rnm = risk_neutralize(cfg.params, cfg.market, measure)
+            assert rnm.drift_rate == cfg.market.r - cumulant(rnm.model, 1.0), (cfg.market, measure)
 
 
 @pytest.mark.parametrize("measure", [ESSCHER, MEAN_CORRECT])

@@ -1,4 +1,5 @@
 """Variate generators and path schemes: determinism, moments, marginal laws."""
+import cmath
 import math
 import tracemalloc
 
@@ -11,9 +12,9 @@ from levymc.levy_models import (
     NigParams,
     VgMeanVarianceParams,
     VgParams,
+    cumulant,
     nig_density,
     nig_mean_rate,
-    vg_char_function,
     vg_from_mean_variance,
     vg_to_mean_variance,
 )
@@ -335,14 +336,16 @@ def test_bgss_one_step_mean():
     assert inc.mean() == pytest.approx(expected, abs=4.0 * se)
 
 
-def test_bgss_terminal_matches_char_function():
-    mv = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
-    paths = simulate_paths(
-        driftless(vg_from_mean_variance(mv)), PathGrid(1.0, 16), 200_000, seed=61, scheme="bgss"
-    )
+@pytest.mark.parametrize("scheme", ["ig", "bgss", "dg"])
+def test_terminal_matches_char_function(scheme):
+    if scheme == "ig":
+        model = NigParams(alpha=8.0, beta=-2.0, mu=0.05, delta=0.6)
+    else:
+        model = vg_from_mean_variance(VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3))
+    paths = simulate_paths(driftless(model), PathGrid(1.0, 16), 200_000, seed=61, scheme=scheme)
     y = np.log(paths.terminal)
     for u in (1.0, 2.0, 5.0):
-        phi = vg_char_function(mv, u, 1.0)
+        phi = cmath.exp(cumulant(model, 1j * u))
         re, im = np.cos(u * y), np.sin(u * y)
         assert re.mean() == pytest.approx(phi.real, abs=4.0 * re.std(ddof=1) / math.sqrt(len(y)))
         assert im.mean() == pytest.approx(phi.imag, abs=4.0 * im.std(ddof=1) / math.sqrt(len(y)))
