@@ -1,5 +1,10 @@
 """Experiment runner: JSON run configurations, built-in table presets, CSV output.
 
+A run is a list of config documents (``--config`` reads one, ``--preset``
+names a built-in list), each read by ``config_from_dict``.  A flag replaces
+the field it names (``--paths`` replaces ``n_paths``) before validation, so a
+bad flag fails with the same ``config.<field>`` error as a bad field.
+
 Usage:
     price --config run.json
     price --preset nig-table --paths 100000 --seed 7 --out table.csv
@@ -11,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 from .levy_models import NigParams, VgMeanVarianceParams, VgParams
@@ -78,7 +84,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One priced (measure, scheme, strike) cell, or its failure record."""
+    """One priced (measure, scheme, strike) cell, or its failure record; fields in ``CSV_HEADER``'s order."""
 
     model: str
     measure: str
@@ -126,6 +132,13 @@ def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _as_count(value, path: str) -> int:
+    count = _as_int(value, path)
+    if count < 1:
+        raise ConfigError(f"{path}: must be >= 1, got {count}")
+    return count
 
 
 def _as_list(value, path: str) -> list:
@@ -227,18 +240,12 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     payoff_kind = _as_choice(doc.get("payoff", EUROPEAN_CALL), _PAYOFF_KINDS, "config.payoff")
 
-    n_steps = _as_int(doc.get("s", DEFAULT_N_STEPS), "config.s")
-    if n_steps < 1:
-        raise ConfigError(f"config.s: must be >= 1, got {n_steps}")
-    n_paths = _as_int(doc.get("n_paths", DEFAULT_N_PATHS), "config.n_paths")
-    if n_paths < 1:
-        raise ConfigError(f"config.n_paths: must be >= 1, got {n_paths}")
+    n_steps = _as_count(doc.get("s", DEFAULT_N_STEPS), "config.s")
+    n_paths = _as_count(doc.get("n_paths", DEFAULT_N_PATHS), "config.n_paths")
     seed = _as_int(doc.get("seed", DEFAULT_SEED), "config.seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"config.seed: must be a 64-bit unsigned integer, got {seed}")
-    workers = _as_int(doc.get("workers", 1), "config.workers")
-    if workers < 1:
-        raise ConfigError(f"config.workers: must be >= 1, got {workers}")
+    workers = _as_count(doc.get("workers", 1), "config.workers")
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
@@ -251,26 +258,36 @@ def config_from_dict(doc: dict) -> RunConfig:
     )
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a JSON run configuration document."""
+def _read_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    return config_from_dict(doc)
 
 
-def _failed_rows(cfg: RunConfig, measure: str, scheme: str, message: str) -> list[ResultRow]:
-    return [
-        ResultRow(
-            model=cfg.model, measure=measure, scheme=scheme, payoff=cfg.payoff_kind,
-            s0=cfg.market.s0, strike=k, r=cfg.market.r, maturity=cfg.market.T,
-            n_steps=cfg.n_steps, n_paths=cfg.n_paths, seed=cfg.seed,
-            price=None, std_error=None, ci_lo=None, ci_hi=None, closed_form=None,
-            status=message,
-        )
-        for k in cfg.strikes
-    ]
+def parse_config(text: str) -> RunConfig:
+    """Parse a JSON run configuration document."""
+    return config_from_dict(_read_json(text))
+
+
+def _configs(docs: Sequence, flags: dict) -> list[RunConfig]:
+    """Validate each document with the flags written over the fields they name; a non-object stays as is."""
+    return [config_from_dict({**doc, **flags} if isinstance(doc, dict) else doc) for doc in docs]
+
+
+def _row(cfg: RunConfig, measure: str, scheme: str, strike: float, status: str,
+         result: McResult | None = None, closed_form: float | None = None) -> ResultRow:
+    """One (measure, scheme, strike) cell; without a result its price columns stay empty."""
+    price, std_error, ci_lo, ci_hi = (
+        (None,) * 4 if result is None else (result.estimate, result.std_error, result.ci_lo, result.ci_hi)
+    )
+    return ResultRow(
+        model=cfg.model, measure=measure, scheme=scheme, payoff=cfg.payoff_kind,
+        s0=cfg.market.s0, strike=strike, r=cfg.market.r, maturity=cfg.market.T,
+        n_steps=cfg.n_steps, n_paths=cfg.n_paths, seed=cfg.seed,
+        price=price, std_error=std_error, ci_lo=ci_lo, ci_hi=ci_hi,
+        closed_form=closed_form, status=status,
+    )
 
 
 def run_experiment(cfg: RunConfig) -> list[ResultRow]:
@@ -287,19 +304,17 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     discount = math.exp(-cfg.market.r * cfg.market.T)
 
     closed: dict[float, float] = {}
-    if cfg.model == "nig" and cfg.payoff_kind == EUROPEAN_CALL:
+    if cfg.model == "nig" and cfg.payoff_kind == EUROPEAN_CALL and ESSCHER in cfg.measures:
         try:
-            for k in cfg.strikes:
-                closed[k] = european_call_nig_closed(cfg.params, cfg.market, k)
+            closed = {k: european_call_nig_closed(cfg.params, cfg.market, k) for k in cfg.strikes}
         except (MeasureExistenceError, QuadratureError):
-            closed = {}  # benchmark column stays empty; a missing measure also fails the row status
+            pass  # benchmark column stays empty; a missing measure also fails the row status
 
     for measure in cfg.measures:
         try:
             rnm = risk_neutralize(cfg.params, cfg.market, measure)
         except MeasureExistenceError as exc:
-            for scheme in cfg.schemes:
-                rows.extend(_failed_rows(cfg, measure, scheme, str(exc)))
+            rows.extend(_row(cfg, measure, scheme, k, str(exc)) for scheme in cfg.schemes for k in cfg.strikes)
             continue
         for scheme in cfg.schemes:
             paths = simulate_paths(rnm, grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers)
@@ -307,14 +322,9 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
                 payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths)
                 result = McResult.from_discounted_payoffs(discount * payoffs, cfg.seed)
                 finite = all(map(math.isfinite, (result.estimate, result.std_error, result.ci_lo, result.ci_hi)))
-                rows.append(ResultRow(
-                    model=cfg.model, measure=measure, scheme=scheme, payoff=cfg.payoff_kind,
-                    s0=cfg.market.s0, strike=strike, r=cfg.market.r, maturity=cfg.market.T,
-                    n_steps=cfg.n_steps, n_paths=cfg.n_paths, seed=cfg.seed,
-                    price=result.estimate, std_error=result.std_error,
-                    ci_lo=result.ci_lo, ci_hi=result.ci_hi,
-                    closed_form=closed.get(strike) if measure == ESSCHER else None,
-                    status="ok" if finite else "non-finite result",
+                rows.append(_row(
+                    cfg, measure, scheme, strike, "ok" if finite else "non-finite result",
+                    result, closed.get(strike) if measure == ESSCHER else None,
                 ))
             del paths  # free these two n-vectors before simulate_paths allocates the next ones
     return rows
@@ -328,111 +338,62 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_rows(rows: Sequence[ResultRow], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+def rows_to_csv_text(rows: Sequence[ResultRow]) -> str:
+    """The rows as CSV text under ``CSV_HEADER``, one column per ``ResultRow`` field, in field order."""
+    if not rows:
+        raise ValueError("refusing to render an empty result set")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.model, row.measure, row.scheme, row.payoff,
-            _format_cell(row.s0), _format_cell(row.strike), _format_cell(row.r),
-            _format_cell(row.maturity), _format_cell(row.n_steps),
-            _format_cell(row.n_paths), _format_cell(row.seed),
-            _format_cell(row.price), _format_cell(row.std_error),
-            _format_cell(row.ci_lo), _format_cell(row.ci_hi),
-            _format_cell(row.closed_form), row.status,
-        ])
+    names = [field.name for field in fields(ResultRow)]
+    writer.writerows([_format_cell(getattr(row, name)) for name in names] for row in rows)
+    return buf.getvalue()
 
 
 def write_csv(rows: Sequence[ResultRow], path: str) -> None:
     """Write result rows as CSV with the fixed header; numbers keep full precision."""
-    if not rows:
-        raise ValueError("refusing to write an empty result set")
+    text = rows_to_csv_text(rows)
     with open(path, "w", newline="") as fh:
-        _write_rows(rows, fh)
-
-
-def rows_to_csv_text(rows: Sequence[ResultRow]) -> str:
-    if not rows:
-        raise ValueError("refusing to render an empty result set")
-    buf = io.StringIO()
-    _write_rows(rows, buf)
-    return buf.getvalue()
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
 # Built-in presets
 # ---------------------------------------------------------------------------
 
-_NIG_PRESET_PARAMS = {"alpha": 81.6, "beta": 3.69, "mu": -0.000123, "delta": 0.0103}
+# what the two NIG tables share; each prices it on every one of the four markets
+_NIG_PRESET = {"model": "nig", "params": {"alpha": 81.6, "beta": 3.69, "mu": -0.000123, "delta": 0.0103},
+               "scheme": "ig", "strikes": [34.0, 35.0, 36.0, 37.0]}
+_NIG_PRESET_MARKETS = [{"s0": 36.0, "r": r, "T": T} for T in (1.0 / 12.0, 2.0 / 12.0) for r in (0.1, 0.05)]
 
-
-def _nig_market_grid() -> list[dict]:
-    return [
-        {"s0": 36.0, "r": r, "T": T}
-        for T in (1.0 / 12.0, 2.0 / 12.0)
+# preset name -> the config documents of its table
+_PRESET_DOCS = {
+    # European call validation table: 4 markets x 4 strikes, Esscher MC vs closed form
+    "nig-table": [
+        dict(_NIG_PRESET, measure="esscher", market=mkt, payoff=EUROPEAN_CALL) for mkt in _NIG_PRESET_MARKETS
+    ],
+    # Asian comparison table: both measures on every NIG market cell
+    "nig-asian": [
+        dict(_NIG_PRESET, measure=["esscher", "mean_correct"], market=mkt, payoff=ASIAN_CALL)
+        for mkt in _NIG_PRESET_MARKETS
+    ],
+    # Asian prices under both measures and both VG schemes, sigma = nu = 1 regime
+    "vg-table": [
+        {"model": "vg", "params": {"beta": -0.1436, "sigma": 1.0, "nu": 1.0},
+         "measure": ["esscher", "mean_correct"], "scheme": ["bgss", "dg"],
+         "market": {"s0": 100.0, "r": r, "T": 1.0}, "strikes": [95.0, 101.0, 105.0], "payoff": ASIAN_CALL}
         for r in (0.1, 0.05)
-    ]
-
-
-def _preset_nig_table() -> list[RunConfig]:
-    """European call validation table: 4 markets x 4 strikes, Esscher MC vs closed form."""
-    return [
-        config_from_dict({
-            "model": "nig", "params": _NIG_PRESET_PARAMS,
-            "measure": "esscher", "scheme": "ig",
-            "market": mkt, "strikes": [34.0, 35.0, 36.0, 37.0],
-            "payoff": EUROPEAN_CALL,
-        })
-        for mkt in _nig_market_grid()
-    ]
-
-
-def _preset_nig_asian() -> list[RunConfig]:
-    """Asian comparison table: both measures on every NIG market cell."""
-    return [
-        config_from_dict({
-            "model": "nig", "params": _NIG_PRESET_PARAMS,
-            "measure": ["esscher", "mean_correct"], "scheme": "ig",
-            "market": mkt, "strikes": [34.0, 35.0, 36.0, 37.0],
-            "payoff": ASIAN_CALL,
-        })
-        for mkt in _nig_market_grid()
-    ]
-
-
-def _preset_vg_table() -> list[RunConfig]:
-    """Asian prices under both measures and both VG schemes, sigma = nu = 1 regime."""
-    return [
-        config_from_dict({
-            "model": "vg", "params": {"beta": -0.1436, "sigma": 1.0, "nu": 1.0},
-            "measure": ["esscher", "mean_correct"], "scheme": ["bgss", "dg"],
-            "market": {"s0": 100.0, "r": r, "T": 1.0},
-            "strikes": [95.0, 101.0, 105.0],
-            "payoff": ASIAN_CALL,
-        })
-        for r in (0.1, 0.05)
-    ]
-
-
-def _preset_vg_lecuyer() -> list[RunConfig]:
-    """Single validation point for the mean-correcting VG Asian price."""
-    return [
-        config_from_dict({
-            "model": "vg", "params": {"beta": -0.1436, "sigma": 0.12136, "nu": 0.3},
-            "measure": "mean_correct", "scheme": "bgss",
-            "market": {"s0": 100.0, "r": 0.1, "T": 1.0},
-            "strikes": [101.0],
-            "payoff": ASIAN_CALL,
-        })
-    ]
-
-
-PRESETS = {
-    "nig-table": _preset_nig_table,
-    "nig-asian": _preset_nig_asian,
-    "vg-table": _preset_vg_table,
-    "vg-lecuyer": _preset_vg_lecuyer,
+    ],
+    # single validation point for the mean-correcting VG Asian price
+    "vg-lecuyer": [
+        {"model": "vg", "params": {"beta": -0.1436, "sigma": 0.12136, "nu": 0.3},
+         "measure": "mean_correct", "scheme": "bgss",
+         "market": {"s0": 100.0, "r": 0.1, "T": 1.0}, "strikes": [101.0], "payoff": ASIAN_CALL}
+    ],
 }
+
+# preset name -> a callable returning its validated RunConfigs
+PRESETS = {name: functools.partial(_configs, docs, {}) for name, docs in _PRESET_DOCS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +401,7 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each flag's ``dest`` is the config field it replaces, and its value is validated as that field."""
     parser = argparse.ArgumentParser(
         prog="price",
         description="Monte Carlo option pricing under exponential NIG and VG models.",
@@ -447,37 +409,14 @@ def _build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", metavar="FILE", help="JSON run configuration")
     source.add_argument("--preset", choices=sorted(PRESETS), help="built-in experiment")
-    parser.add_argument("--paths", type=int, metavar="N", help="override the number of Monte Carlo paths")
+    parser.add_argument("--paths", type=int, dest="n_paths", metavar="N",
+                        help="override the number of Monte Carlo paths")
     parser.add_argument("--seed", type=int, metavar="S", help="override the base seed")
     parser.add_argument("--out", metavar="CSV", help="output file (default: CSV to stdout)")
     parser.add_argument("--measure", choices=["esscher", "mean-correct"], help="restrict to one measure")
     parser.add_argument("--scheme", choices=sorted(SCHEMES), help="restrict to one simulation scheme")
-    parser.add_argument("--workers", type=int, default=None, metavar="W", help="worker threads per simulation")
+    parser.add_argument("--workers", type=int, metavar="W", help="worker threads per simulation")
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.paths is not None:
-        if args.paths < 1:
-            raise ConfigError(f"--paths: must be >= 1, got {args.paths}")
-        cfg = replace(cfg, n_paths=args.paths)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed: must be a 64-bit unsigned integer, got {args.seed}")
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
-        cfg = replace(cfg, workers=args.workers)
-    if args.measure is not None:
-        cfg = replace(cfg, measures=(args.measure.replace("-", "_"),))
-    if args.scheme is not None:
-        if args.scheme not in MODEL_SCHEMES[cfg.model]:
-            raise ConfigError(f"--scheme: scheme {args.scheme!r} is incompatible with model {cfg.model!r}")
-        cfg = replace(cfg, schemes=(args.scheme,))
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -487,13 +426,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     row is not ``ok`` (the measure does not exist or the result is not finite).
     """
     args = _build_parser().parse_args(argv)
+    flags = {name: value for name, value in vars(args).items() if name in _FIELDS and value is not None}
     try:
         if args.config is not None:
             with open(args.config) as fh:
-                configs = [parse_config(fh.read())]
+                docs = [_read_json(fh.read())]
         else:
-            configs = PRESETS[args.preset]()
-        configs = [_apply_overrides(cfg, args) for cfg in configs]
+            docs = _PRESET_DOCS[args.preset]
+        configs = _configs(docs, flags)
     except (ConfigError, OSError) as exc:
         print(f"price: error: {exc}", file=sys.stderr)
         return 1
@@ -510,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if row.status != "ok":
             print(f"price: warning: {row.measure}/{row.scheme} K={row.strike:g}: {row.status}", file=sys.stderr)
 
-    out_path = args.out if args.out is not None else configs[0].out
+    out_path = configs[0].out
     try:
         if out_path:
             write_csv(rows, out_path)

@@ -135,7 +135,6 @@ class PathSet:
     the path's block while the block is in cache.
     """
 
-    grid: PathGrid
     terminal: np.ndarray
     average: np.ndarray
 
@@ -274,4 +273,4 @@ def simulate_paths(
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
         list(pool.map(run, spans))
-    return PathSet(grid=grid, terminal=terminal, average=average)
+    return PathSet(terminal=terminal, average=average)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from levymc import cli
 from levymc.cli import (
     CSV_HEADER,
     ConfigError,
@@ -260,6 +261,33 @@ def test_cli_override_flags(tmp_path, capsys):
     assert rows[0]["measure"] == "mean_correct"
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--paths", "0"], "n_paths"),
+    (["--seed", str(2**64)], "seed"),
+    (["--workers", "0"], "workers"),
+    (["--scheme", "dg"], "scheme"),
+])
+def test_cli_flag_is_validated_as_the_field_it_replaces(tmp_path, capsys, flags, field):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(MINIMAL_NIG))
+    assert main(["--config", str(cfg_path)] + flags) == 1
+    captured = capsys.readouterr()
+    assert f"price: error: config.{field}: " in captured.err
+    assert captured.out == ""
+
+
+def test_cli_flag_replaces_field_before_validation(tmp_path, capsys):
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1]")
+    assert main(["--config", str(not_an_object), "--paths", "5"]) == 1
+    assert "price: error: config: expected a JSON object at the top level" in capsys.readouterr().err
+    zero_paths = tmp_path / "zero.json"
+    zero_paths.write_text(json.dumps(dict(MINIMAL_NIG, n_paths=0)))
+    assert main(["--config", str(zero_paths), "--paths", "100"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(row["n_paths"], row["status"]) for row in rows] == [("100", "ok")]
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["--config", missing]) == 1
@@ -308,6 +336,15 @@ def test_closed_form_quadrature_failure_leaves_column_empty(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert main(["--config", str(cfg_path)]) == 0
     capsys.readouterr()
+
+
+def test_closed_form_is_not_priced_without_esscher(monkeypatch):
+    def fail(*args):
+        raise AssertionError("closed form priced though no row reads it")
+
+    monkeypatch.setattr(cli, "european_call_nig_closed", fail)
+    rows = run_experiment(parse_config(json.dumps(dict(MINIMAL_NIG, measure="mean_correct", n_paths=200))))
+    assert [(row.status, row.closed_form) for row in rows] == [("ok", None)]
 
 
 def test_cli_exit_code_existence_failure_single_row(tmp_path, capsys):

@@ -25,7 +25,7 @@ MARKET = MarketData(s0=36.0, r=0.1, T=1.0 / 12.0)
 
 def _path_set(terminal, average) -> PathSet:
     """A hand-built path set: one terminal spot and one average per path."""
-    return PathSet(PathGrid(1.0, 2), terminal=np.array(terminal), average=np.array(average))
+    return PathSet(terminal=np.array(terminal), average=np.array(average))
 
 
 def test_payoff_european_call_cases():
