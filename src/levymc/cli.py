@@ -413,8 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the number of Monte Carlo paths")
     parser.add_argument("--seed", type=int, metavar="S", help="override the base seed")
     parser.add_argument("--out", metavar="CSV", help="output file (default: CSV to stdout)")
-    parser.add_argument("--measure", choices=["esscher", "mean-correct"], help="restrict to one measure")
-    parser.add_argument("--scheme", choices=sorted(SCHEMES), help="restrict to one simulation scheme")
+    parser.add_argument("--measure", help="restrict to one measure: esscher or mean-correct")
+    parser.add_argument("--scheme", help=f"restrict to one simulation scheme: {', '.join(sorted(SCHEMES))}")
     parser.add_argument("--workers", type=int, metavar="W", help="worker threads per simulation")
     return parser
 

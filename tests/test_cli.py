@@ -176,10 +176,17 @@ def test_write_csv_rejects_empty():
 def test_csv_header_is_exact(tmp_path):
     cfg = parse_config(json.dumps(dict(MINIMAL_NIG, n_paths=50)))
     out = tmp_path / "h.csv"
-    write_csv(run_experiment(cfg), str(out))
+    rows = run_experiment(cfg)
+    write_csv(rows, str(out))
     header = out.read_text().splitlines()[0]
     assert header == "model,measure,scheme,payoff,S0,K,r,T,s,n_paths,seed,price,std_error,ci_lo,ci_hi,closed_form,status"
     assert header == ",".join(CSV_HEADER)
+    # every column holds the ResultRow field its header names
+    field_of = {"S0": "s0", "K": "strike", "T": "maturity", "s": "n_steps"}
+    written = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(written) == len(rows)
+    for row, line in zip(rows, written):
+        assert line == {col: cli._format_cell(getattr(row, field_of.get(col, col))) for col in CSV_HEADER}
 
 
 def _tiny(cfg):
@@ -266,6 +273,8 @@ def test_cli_override_flags(tmp_path, capsys):
     (["--seed", str(2**64)], "seed"),
     (["--workers", "0"], "workers"),
     (["--scheme", "dg"], "scheme"),
+    (["--scheme", "foo"], "scheme"),
+    (["--measure", "foo"], "measure"),
 ])
 def test_cli_flag_is_validated_as_the_field_it_replaces(tmp_path, capsys, flags, field):
     cfg_path = tmp_path / "run.json"
