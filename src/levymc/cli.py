@@ -151,6 +151,13 @@ def _as_choice(value, choices, path: str) -> str:
     return value
 
 
+def _reject_repeats(values: tuple, path: str) -> None:
+    # a repeated entry would price the same cells twice
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{path}[{i}]: repeats {value!r}")
+
+
 def _build_params(model: str, raw: dict, path: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object, got {raw!r}")
@@ -206,6 +213,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         _as_choice(m.replace("-", "_") if isinstance(m, str) else m, (ESSCHER, MEAN_CORRECT), "config.measure")
         for m in _as_list(doc.get("measure", ESSCHER), "config.measure")
     )
+    _reject_repeats(measures, "config.measure")
 
     schemes = tuple(
         _as_choice(sch, tuple(SCHEMES), "config.scheme")
@@ -214,6 +222,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     for sch in schemes:
         if sch not in MODEL_SCHEMES[model]:
             raise ConfigError(f"config.scheme: scheme {sch!r} is incompatible with model {model!r}")
+    _reject_repeats(schemes, "config.scheme")
 
     mkt = _require(doc, "market", "config")
     if not isinstance(mkt, dict):
@@ -237,6 +246,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     for i, k in enumerate(strikes):
         if k < 0:
             raise ConfigError(f"config.strikes[{i}]: strike must be >= 0, got {k}")
+    _reject_repeats(strikes, "config.strikes")
 
     payoff_kind = _as_choice(doc.get("payoff", EUROPEAN_CALL), _PAYOFF_KINDS, "config.payoff")
 
@@ -296,11 +306,15 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     Paths are simulated once per (measure, scheme), each reduced to its
     terminal spot and average, and reused across strikes (common random
     numbers), so prices are comparable across strikes and the whole table is
-    deterministic for a fixed seed.  A measure that fails to exist, or a
-    non-finite price, SE or CI, yields a row whose status says so.
+    deterministic for a fixed seed.  European rows simulate one step of
+    length T; Asian rows simulate the config's ``s`` monitoring steps.  A
+    measure that fails to exist, or a non-finite price, SE or CI, yields a row
+    whose status says so.
     """
     rows: list[ResultRow] = []
-    grid = PathGrid(maturity=cfg.market.T, n_steps=cfg.n_steps)
+    # a European payoff reads only the terminal spot, whose law is exact in one step of length T
+    n_steps = 1 if cfg.payoff_kind == EUROPEAN_CALL else cfg.n_steps
+    grid = PathGrid(maturity=cfg.market.T, n_steps=n_steps)
     discount = math.exp(-cfg.market.r * cfg.market.T)
 
     closed: dict[float, float] = {}
@@ -400,30 +414,46 @@ PRESETS = {name: functools.partial(_configs, docs, {}) for name, docs in _PRESET
 # Command line entry point
 # ---------------------------------------------------------------------------
 
+def _int_or_text(text: str):
+    """A flag's integer, or its text as given, which ``config_from_dict`` then rejects as the field's value."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on a usage error; here 2 means a single-row run whose row is not ok
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The parser; each flag's ``dest`` is the config field it replaces, and its value is validated as that field."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="price",
         description="Monte Carlo option pricing under exponential NIG and VG models.",
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", metavar="FILE", help="JSON run configuration")
     source.add_argument("--preset", choices=sorted(PRESETS), help="built-in experiment")
-    parser.add_argument("--paths", type=int, dest="n_paths", metavar="N",
+    parser.add_argument("--paths", type=_int_or_text, dest="n_paths", metavar="N",
                         help="override the number of Monte Carlo paths")
-    parser.add_argument("--seed", type=int, metavar="S", help="override the base seed")
+    parser.add_argument("--seed", type=_int_or_text, metavar="S", help="override the base seed")
     parser.add_argument("--out", metavar="CSV", help="output file (default: CSV to stdout)")
     parser.add_argument("--measure", help="restrict to one measure: esscher or mean-correct")
     parser.add_argument("--scheme", help=f"restrict to one simulation scheme: {', '.join(sorted(SCHEMES))}")
-    parser.add_argument("--workers", type=int, metavar="W", help="worker threads per simulation")
+    parser.add_argument("--workers", type=_int_or_text, metavar="W", help="worker threads per simulation")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
-    Exit codes: 0 success, 1 configuration error, 2 a single-row run whose
-    row is not ``ok`` (the measure does not exist or the result is not finite).
+    Exit codes: 0 success, 1 configuration or usage error (argparse's own
+    usage errors raise ``SystemExit(1)``), 2 a single-row run whose row is not
+    ``ok`` (the measure does not exist or the result is not finite).
     """
     args = _build_parser().parse_args(argv)
     flags = {name: value for name, value in vars(args).items() if name in _FIELDS and value is not None}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_models import NigParams, nig_density
+from .levy_models import NigParams, nig_density, nig_mean_rate
 from .measures import MarketData, MeasureExistenceError, RiskNeutralModel, nig_esscher
 from .sampling import PathGrid, PathSet, simulate_paths
 from .special_fn import QuadratureSpec, integrate
@@ -96,10 +96,26 @@ def price_mc(
 
 
 def nig_tail_probability(p: NigParams, t: float, x: float) -> float:
-    """P(X_t > x) for the NIG increment over horizon t, by quadrature of the density."""
+    """P(X_t > x) for the NIG increment over horizon t, by quadrature of the density.
+
+    The density is integrated in u = (y - mu*t)/(delta*t): there its peak is
+    at most about one unit wide, where in y it is a spike delta*t wide, so the
+    quadrature panels start on the peak's own scale.  Below the mean the
+    lower tail is integrated and subtracted from one, so no integral runs
+    through the peak.
+    """
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
-    value = integrate(lambda u: nig_density(p, u, t), x, math.inf, _TAIL_QUAD)
+    mu_t, delta_t = p.mu * t, p.delta * t
+
+    def density_u(u: float) -> float:
+        return delta_t * nig_density(p, mu_t + delta_t * u, t)
+
+    u = (x - mu_t) / delta_t
+    if x >= nig_mean_rate(p) * t:
+        value = integrate(density_u, u, math.inf, _TAIL_QUAD)
+    else:
+        value = 1.0 - integrate(density_u, -math.inf, u, _TAIL_QUAD)
     return min(max(value, 0.0), 1.0)
 
 

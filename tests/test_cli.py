@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -17,6 +18,7 @@ from levymc.cli import (
 )
 from levymc.measures import MarketData, risk_neutralize
 from levymc.sampling import PathGrid, simulate_paths
+from levymc.special_fn import QuadratureError
 
 MINIMAL_NIG = {
     "model": "nig",
@@ -98,6 +100,17 @@ def test_parse_error_reports_field_path():
             parse_config(json.dumps(doc))
 
 
+def test_parse_rejects_repeated_entries():
+    for field, value, path in [
+        ("measure", ["esscher", "esscher"], r"config\.measure\[1\]: repeats 'esscher'"),
+        ("measure", ["mean_correct", "esscher", "mean-correct"], r"config\.measure\[2\]: repeats 'mean_correct'"),
+        ("scheme", ["ig", "ig"], r"config\.scheme\[1\]: repeats 'ig'"),
+        ("strikes", [34.0, 35.0, 34], r"config\.strikes\[2\]: repeats 34\.0"),
+    ]:
+        with pytest.raises(ConfigError, match=path):
+            parse_config(json.dumps(dict(MINIMAL_NIG, **{field: value})))
+
+
 def test_parse_rejects_invariant_violations():
     bad = dict(MINIMAL_NIG, params={"alpha": 1.0, "beta": 2.0, "mu": 0.0, "delta": 1.0})
     with pytest.raises(ConfigError, match="config.params"):
@@ -113,10 +126,26 @@ def test_run_experiment_single_path_degenerate():
     rows = run_experiment(cfg)
     assert len(rows) == 1
     rnm = risk_neutralize(cfg.params, cfg.market, "esscher")
-    spot = simulate_paths(rnm, PathGrid(cfg.market.T, 4), 1, seed=23).terminal[0]
+    # a European row simulates one step of length T, whatever s says
+    spot = simulate_paths(rnm, PathGrid(cfg.market.T, 1), 1, seed=23).terminal[0]
     assert rows[0].price == pytest.approx(math.exp(-cfg.market.r * cfg.market.T) * spot, rel=1e-15)
     assert rows[0].std_error == 0.0
     assert rows[0].status == "ok"
+
+
+@pytest.mark.parametrize("payoff, simulated_steps", [("european_call", 1), ("asian_arithmetic_call", 5)])
+def test_run_experiment_simulates_the_steps_its_payoff_reads(monkeypatch, payoff, simulated_steps):
+    grids = []
+
+    def recording(rnm, grid, *args, **kwargs):
+        grids.append(grid)
+        return simulate_paths(rnm, grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recording)
+    cfg = parse_config(json.dumps(dict(MINIMAL_NIG, payoff=payoff, s=5, n_paths=10)))
+    rows = run_experiment(cfg)
+    assert grids == [PathGrid(cfg.market.T, simulated_steps)]
+    assert [(row.n_steps, row.status) for row in rows] == [(5, "ok")]
 
 
 def test_run_experiment_reports_measure_failure_as_row():
@@ -275,6 +304,9 @@ def test_cli_override_flags(tmp_path, capsys):
     (["--scheme", "dg"], "scheme"),
     (["--scheme", "foo"], "scheme"),
     (["--measure", "foo"], "measure"),
+    (["--paths", "1e5"], "n_paths"),
+    (["--seed", "seven"], "seed"),
+    (["--workers", "2.5"], "workers"),
 ])
 def test_cli_flag_is_validated_as_the_field_it_replaces(tmp_path, capsys, flags, field):
     cfg_path = tmp_path / "run.json"
@@ -335,16 +367,52 @@ def test_non_finite_result_is_not_ok(tmp_path, capsys, s0):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_closed_form_quadrature_failure_leaves_column_empty(tmp_path, capsys):
-    # at s0 = 1e50 the tail quadrature of the NIG closed form does not converge
-    doc = dict(MINIMAL_NIG, market={"s0": 1e50, "r": 0.1, "T": 1.0 / 12.0}, n_paths=1000)
+def test_cli_preset_flag_error_exits_one(capsys):
+    assert main(["--preset", "nig-table", "--paths", "1e5"]) == 1
+    captured = capsys.readouterr()
+    assert "price: error: config.n_paths: expected an integer, got '1e5'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--preset", "nope"], ["--preset", "nig-table", "--paths"], ["--color"], []])
+def test_cli_usage_error_exits_one(capsys, argv):
+    # exit code 2 is kept for a single-row run whose row is not ok
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "price: error: " in capsys.readouterr().err
+
+
+def test_closed_form_quadrature_failure_leaves_column_empty(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise QuadratureError("tail quadrature did not converge")
+
+    monkeypatch.setattr(cli, "european_call_nig_closed", fail)
+    doc = dict(MINIMAL_NIG, n_paths=1000)
     rows = run_experiment(parse_config(json.dumps(doc)))
     assert [(row.status, row.closed_form) for row in rows] == [("ok", None)]
-    cfg_path = tmp_path / "huge_spot.json"
+    cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["--config", str(cfg_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("s0", [1e50, 1e300])
+def test_closed_form_prices_deep_in_the_money(monkeypatch, s0):
+    # both tail probabilities are 1 in double precision, so the call is worth s0 - exp(-rT) K
+    closed_form = cli.european_call_nig_closed
+
+    def warnings_are_errors(*args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return closed_form(*args)
+
+    monkeypatch.setattr(cli, "european_call_nig_closed", warnings_are_errors)
+    market = {"s0": s0, "r": 0.1, "T": 1.0 / 12.0}
+    rows = run_experiment(parse_config(json.dumps(dict(MINIMAL_NIG, market=market, n_paths=1))))
+    expected = s0 - math.exp(-market["r"] * market["T"]) * MINIMAL_NIG["strikes"][0]
+    assert [row.status for row in rows] == ["ok"]
+    assert rows[0].closed_form == pytest.approx(expected, rel=1e-15)
 
 
 def test_closed_form_is_not_priced_without_esscher(monkeypatch):

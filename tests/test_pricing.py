@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levymc.levy_models import NigParams
-from levymc.measures import ESSCHER, MarketData, risk_neutralize
+from levymc.levy_models import NigParams, nig_density, nig_mean_rate
+from levymc.measures import ESSCHER, MarketData, nig_esscher, risk_neutralize
 from levymc.pricing import (
     ASIAN_CALL,
     EUROPEAN_CALL,
@@ -18,8 +18,12 @@ from levymc.pricing import (
     price_mc,
 )
 from levymc.sampling import PathGrid, PathSet, simulate_paths
+from levymc.special_fn import integrate
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
+# the two Esscher tilts the closed form integrates: beta* and beta* + 1
+NIG_ESSCHER = nig_esscher(NIG_BENCH).risk_neutral_params
+NIG_ESSCHER_UP = NigParams(alpha=NIG_BENCH.alpha, beta=NIG_ESSCHER.beta + 1.0, mu=NIG_BENCH.mu, delta=NIG_BENCH.delta)
 MARKET = MarketData(s0=36.0, r=0.1, T=1.0 / 12.0)
 
 
@@ -98,6 +102,18 @@ def test_nig_tail_probability_limits():
     assert nig_tail_probability(NIG_BENCH, 1.0 / 12.0, -50.0) == pytest.approx(1.0, abs=1e-8)
     symmetric = NigParams(alpha=5.0, beta=0.0, mu=0.0, delta=1.0)
     assert nig_tail_probability(symmetric, 1.0, 0.0) == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("params", [NIG_BENCH, NIG_ESSCHER, NIG_ESSCHER_UP], ids=["physical", "esscher", "esscher_up"])
+@pytest.mark.parametrize("t", [1.0 / 365.0, 1.0 / 52.0, 1.0, 5.0])
+def test_nig_tail_probability_matches_direct_quadrature(params, t):
+    # the reference integrates the density in x itself, through its peak, from x to infinity
+    mean = nig_mean_rate(params) * t
+    sd = math.sqrt(params.delta * params.alpha**2 / params.gamma_bar**3 * t)
+    for z in (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0):
+        x = mean + z * sd
+        direct = integrate(lambda y: nig_density(params, y, t), x, math.inf)
+        assert nig_tail_probability(params, t, x) == pytest.approx(direct, abs=1e-12), (t, z)
 
 
 def test_closed_form_zero_strike_is_spot():
