@@ -27,7 +27,7 @@ from typing import Sequence, Union
 from .levy_models import NigParams, VgMeanVarianceParams, VgParams
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
 from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, Payoff, european_call_nig_closed
-from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, simulate_paths
+from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, PathSet, simulate_paths, step_sampler
 from .special_fn import QuadratureError
 
 __all__ = [
@@ -300,18 +300,38 @@ def _row(cfg: RunConfig, measure: str, scheme: str, strike: float, status: str,
     )
 
 
+def _priced_rows(cfg: RunConfig, measure: str, scheme: str, paths: PathSet, discount: float,
+                 closed: dict[float, float]) -> list[ResultRow]:
+    """Every strike's row from one (measure, scheme)'s paths."""
+    rows = []
+    for strike in cfg.strikes:
+        payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths)
+        payoffs *= discount
+        result = McResult.from_discounted_payoffs(payoffs, cfg.seed)
+        del payoffs  # free this n-vector before the next strike's evaluate allocates one
+        finite = all(map(math.isfinite, (result.estimate, result.std_error, result.ci_lo, result.ci_hi)))
+        rows.append(_row(
+            cfg, measure, scheme, strike, "ok" if finite else "non-finite result",
+            result, closed.get(strike) if measure == ESSCHER else None,
+        ))
+    return rows
+
+
 def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     """Price every requested (measure x scheme x strike) cell.
 
-    Paths are simulated once per (measure, scheme), each reduced to its
-    terminal spot and average, and reused across strikes (common random
-    numbers), so prices are comparable across strikes and the whole table is
-    deterministic for a fixed seed.  European rows simulate one step of
-    length T; Asian rows simulate the config's ``s`` monitoring steps.  A
-    measure that fails to exist, or a non-finite price, SE or CI, yields a row
-    whose status says so.
+    Paths are simulated per (measure, scheme), each reduced to its terminal
+    spot and average, and reused across strikes (common random numbers), so
+    prices are comparable across strikes and the whole table is deterministic
+    for a fixed seed.  Measures whose draws are equal under a scheme (the
+    sampler's ``key``; for VG, both measures) are simulated together: each
+    block draws its variates once and every measure builds its paths from
+    them, bit for bit the paths it would get alone.  European rows simulate
+    one step of length T; Asian rows simulate the config's ``s`` monitoring
+    steps.  A measure that fails to exist, or a non-finite price, SE or CI,
+    yields a row whose status says so.  Rows come in (measure, scheme,
+    strike) order.
     """
-    rows: list[ResultRow] = []
     # a European payoff reads only the terminal spot, whose law is exact in one step of length T
     n_steps = 1 if cfg.payoff_kind == EUROPEAN_CALL else cfg.n_steps
     grid = PathGrid(maturity=cfg.market.T, n_steps=n_steps)
@@ -324,24 +344,27 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
         except (MeasureExistenceError, QuadratureError):
             pass  # benchmark column stays empty; a missing measure also fails the row status
 
+    cells: dict[tuple[str, str], list[ResultRow]] = {}
+    models = {}
     for measure in cfg.measures:
         try:
-            rnm = risk_neutralize(cfg.params, cfg.market, measure)
+            models[measure] = risk_neutralize(cfg.params, cfg.market, measure)
         except MeasureExistenceError as exc:
-            rows.extend(_row(cfg, measure, scheme, k, str(exc)) for scheme in cfg.schemes for k in cfg.strikes)
-            continue
-        for scheme in cfg.schemes:
-            paths = simulate_paths(rnm, grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers)
-            for strike in cfg.strikes:
-                payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths)
-                result = McResult.from_discounted_payoffs(discount * payoffs, cfg.seed)
-                finite = all(map(math.isfinite, (result.estimate, result.std_error, result.ci_lo, result.ci_hi)))
-                rows.append(_row(
-                    cfg, measure, scheme, strike, "ok" if finite else "non-finite result",
-                    result, closed.get(strike) if measure == ESSCHER else None,
-                ))
-            del paths  # free these two n-vectors before simulate_paths allocates the next ones
-    return rows
+            for scheme in cfg.schemes:
+                cells[measure, scheme] = [_row(cfg, measure, scheme, k, str(exc)) for k in cfg.strikes]
+
+    for scheme in cfg.schemes:
+        groups: dict[tuple, list[str]] = {}
+        for measure, rnm in models.items():
+            groups.setdefault(step_sampler(rnm, grid.dt, scheme).key, []).append(measure)
+        for measures in groups.values():
+            path_sets = simulate_paths(
+                [models[m] for m in measures], grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers,
+            )
+            for measure in measures:
+                # popped, so each measure's two n-vectors are freed once its strikes are priced
+                cells[measure, scheme] = _priced_rows(cfg, measure, scheme, path_sets.pop(0), discount, closed)
+    return [row for measure in cfg.measures for scheme in cfg.schemes for row in cells[measure, scheme]]
 
 
 def _format_cell(value) -> str:

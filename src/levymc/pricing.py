@@ -47,7 +47,8 @@ class Payoff:
         the monitored dates t_1..t_s (t_0 excluded) for the Asian call.
         """
         underlying = paths.terminal if self.kind == EUROPEAN_CALL else paths.average
-        return np.maximum(underlying - self.strike, 0.0)
+        out = underlying - self.strike
+        return np.maximum(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,18 @@ class McResult:
 
     @classmethod
     def from_discounted_payoffs(cls, discounted: np.ndarray, seed: int) -> "McResult":
+        """The estimate, its standard error and 95% CI; overwrites ``discounted``.
+
+        The sample standard deviation is ``np.std(ddof=1)``'s own operations
+        done in place, so it is the same number without a second n-vector.
+        """
         n = len(discounted)
         estimate = float(np.mean(discounted))
-        std_error = float(np.std(discounted, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        std_error = 0.0
+        if n > 1:
+            np.subtract(discounted, estimate, out=discounted)
+            np.square(discounted, out=discounted)
+            std_error = float(np.sqrt(np.sum(discounted) / (n - 1)) / math.sqrt(n))
         return cls(
             estimate=estimate,
             std_error=std_error,
@@ -91,7 +101,8 @@ def price_mc(
     reads each path's terminal spot or average; no path is stored.
     """
     paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
-    discounted = math.exp(-rnm.market.r * grid.maturity) * payoff.evaluate(paths)
+    discounted = payoff.evaluate(paths)
+    discounted *= math.exp(-rnm.market.r * grid.maturity)
     return McResult.from_discounted_payoffs(discounted, seed)
 
 

@@ -5,6 +5,13 @@ maps each scheme to the model kind it simulates and its per-step sampler; it
 is the only place where scheme/model compatibility is defined, and
 ``MODEL_SCHEMES`` (each model's schemes, default first) is derived from it.
 
+Each sampler is split into ``draw``, which consumes the generator, and
+``assemble``, which turns the draws into log increments.  ``key`` names every
+value the draws depend on, so models whose keys are equal (for VG, both
+measures: the Esscher tilt moves gamma rates, never a gamma shape) are
+simulated together: each block draws its variates once per step, and every
+model builds its own paths from them.
+
 Reproducibility model: every simulation consumes randomness through SFC64
 streams keyed by (seed, block index), one ``SeedSequence(seed,
 spawn_key=(block,))`` per block (stream layout v2, ``STREAM_LAYOUT``).  Paths
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +40,8 @@ __all__ = [
     "sample_gamma",
     "sample_inverse_gaussian",
     "simulate_paths",
+    "step_sampler",
+    "StepSampler",
     "dg_gamma_components",
     "SCHEMES",
     "MODEL_SCHEMES",
@@ -49,6 +58,9 @@ BLOCK_SIZE = 16384
 #   v2: SFC64 seeded by SeedSequence(seed, spawn_key=(stream_id,)), the same
 #       stream SeedSequence(seed).spawn() hands to child stream_id.
 STREAM_LAYOUT = 2
+
+# Paths per slice when a block's spots are averaged; any value gives the same bits.
+_MEAN_ROWS = 1024
 
 
 def _generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -143,8 +155,19 @@ class PathSet:
         return self.average.shape[0]
 
 
-# (gen, count) -> one column of count log increments
-StepSampler = Callable[[np.random.Generator, int], np.ndarray]
+class StepSampler(NamedTuple):
+    """One model's per-step sampling under one scheme, split where models can share draws.
+
+    ``key`` holds every value the draws depend on, compared exactly: models
+    with equal keys consume a generator identically, so one ``draw`` serves
+    them all and each applies its own ``assemble``.
+    """
+
+    key: tuple[float, ...]
+    # (gen, count) -> the step's variates; the only part that consumes the generator
+    draw: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
+    # variates -> one column of count log increments; arithmetic only, the variates are not written
+    assemble: Callable[[tuple[np.ndarray, ...]], np.ndarray]
 
 
 def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
@@ -158,31 +181,38 @@ def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     ig_shape = (p.delta * dt) ** 2
     base = (p.mu + rnm.drift_rate) * dt
 
-    def step(gen: np.random.Generator, count: int) -> np.ndarray:
-        z = gen.wald(ig_mean, ig_shape, size=count)
-        eps = gen.standard_normal(count)
+    def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        return gen.wald(ig_mean, ig_shape, size=count), gen.standard_normal(count)
+
+    def assemble(variates: tuple[np.ndarray, ...]) -> np.ndarray:
+        z, eps = variates
         return base + p.beta * z + np.sqrt(z) * eps
 
-    return step
+    return StepSampler((ig_mean, ig_shape), draw, assemble)
 
 
 def _bgss_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     """VG by Brownian-gamma sequential sampling.
 
     The clock z ~ Gamma(lam*dt, gamma_rate) first, then the log increment
-    (x0 + drift_rate)*dt + beta*z + sigma*sqrt(z)*N(0,1).
+    (x0 + drift_rate)*dt + beta*z + sigma*sqrt(z)*N(0,1).  The clock is drawn
+    as a standard gamma and scaled, which is how ``Generator.gamma`` computes
+    it, so the draws depend on the shape alone.
     """
     p = rnm.model
     clock_shape = p.lam * dt
     clock_scale = 1.0 / p.gamma_rate
     base = (p.x0 + rnm.drift_rate) * dt
 
-    def step(gen: np.random.Generator, count: int) -> np.ndarray:
-        z = gen.gamma(clock_shape, clock_scale, size=count)
-        eps = gen.standard_normal(count)
+    def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        return gen.standard_gamma(clock_shape, count), gen.standard_normal(count)
+
+    def assemble(variates: tuple[np.ndarray, ...]) -> np.ndarray:
+        g, eps = variates
+        z = clock_scale * g
         return base + p.beta * z + p.sigma * np.sqrt(z) * eps
 
-    return step
+    return StepSampler((clock_shape,), draw, assemble)
 
 
 def dg_gamma_components(mv: VgMeanVarianceParams) -> tuple[float, float, float, float]:
@@ -201,7 +231,8 @@ def _dg_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     """VG as the difference of two gammas, same law as BGSS.
 
     With the clock rescaled to unit mean rate, the legs have per-step shapes
-    mu+-^2*dt/nu+- and rates mu+-/nu+-.
+    mu+-^2*dt/nu+- and rates mu+-/nu+-; each leg is a standard gamma scaled
+    by its 1/rate.
     """
     mv, x0 = vg_to_mean_variance(rnm.model)
     mu_plus, mu_minus, nu_plus, nu_minus = dg_gamma_components(mv)
@@ -209,12 +240,14 @@ def _dg_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     shape_minus, scale_minus = mu_minus**2 * dt / nu_minus, nu_minus / mu_minus
     base = (x0 + rnm.drift_rate) * dt
 
-    def step(gen: np.random.Generator, count: int) -> np.ndarray:
-        g_plus = gen.gamma(shape_plus, scale_plus, size=count)
-        g_minus = gen.gamma(shape_minus, scale_minus, size=count)
-        return base + g_plus - g_minus
+    def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        return gen.standard_gamma(shape_plus, count), gen.standard_gamma(shape_minus, count)
 
-    return step
+    def assemble(variates: tuple[np.ndarray, ...]) -> np.ndarray:
+        g_plus, g_minus = variates
+        return base + scale_plus * g_plus - scale_minus * g_minus
+
+    return StepSampler((shape_plus, shape_minus), draw, assemble)
 
 
 # scheme name -> (model kind it simulates, step-sampler factory)
@@ -230,47 +263,73 @@ MODEL_SCHEMES: dict[str, tuple[str, ...]] = {
 }
 
 
-def simulate_paths(
-    rnm: RiskNeutralModel,
-    grid: PathGrid,
-    n_paths: int,
-    seed: int,
-    scheme: str | None = None,
-    workers: int = 1,
-) -> PathSet:
-    """Terminal spots and averages of paths from the named scheme, or the model's default one.
-
-    Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
-    stream, one step at a time, into its own (rows, s) buffer, which becomes
-    s0 * exp(cumsum) in place; its last column and its row means go to the
-    block's slice of ``terminal`` and ``average``.
-    """
-    scheme = scheme or MODEL_SCHEMES[rnm.model_kind][0]
+def step_sampler(rnm: RiskNeutralModel, dt: float, scheme: str) -> StepSampler:
+    """The named scheme's per-step sampler for ``rnm`` at step ``dt``; rejects an unknown or incompatible scheme."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
     kind, make_step = SCHEMES[scheme]
     if rnm.model_kind != kind:
         raise ValueError(f"scheme {scheme!r} is incompatible with a {rnm.model_kind} model")
+    return make_step(rnm, dt)
+
+
+def simulate_paths(
+    rnm: RiskNeutralModel | Sequence[RiskNeutralModel],
+    grid: PathGrid,
+    n_paths: int,
+    seed: int,
+    scheme: str | None = None,
+    workers: int = 1,
+) -> PathSet | list[PathSet]:
+    """Terminal spots and averages of paths from the named scheme, or the first model's default one.
+
+    Given one model, returns its ``PathSet``.  Given a sequence of models
+    whose ``StepSampler.key`` is equal under the scheme, returns one
+    ``PathSet`` per model, in order, all built from the same draws: each is
+    bit for bit the one a one-model call would return.
+
+    Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
+    stream, one step at a time; every model assembles the step's variates
+    and adds them to its running log spots, one row of its own (s, rows)
+    buffer per step, which becomes s0 * exp(.) in place; its last row and its
+    per-path means go to the block's slice of that model's ``terminal`` and
+    ``average``.
+    """
+    models = [rnm] if isinstance(rnm, RiskNeutralModel) else list(rnm)
+    if not models:
+        raise ValueError("simulate_paths needs at least one model")
+    scheme = scheme or MODEL_SCHEMES[models[0].model_kind][0]
+    samplers = [step_sampler(model, grid.dt, scheme) for model in models]
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    step = make_step(rnm, grid.dt)
-    terminal = np.empty(n_paths)
-    average = np.empty(n_paths)
+    if len({sampler.key for sampler in samplers}) > 1:
+        raise ValueError(f"the models' {scheme!r} draws differ, so they cannot be shared")
+    draw = samplers[0].draw
+    outs = [PathSet(terminal=np.empty(n_paths), average=np.empty(n_paths)) for _ in models]
     spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
     def run(span: tuple[int, int, int]) -> None:
         block_index, lo, hi = span
         gen = _generator(seed, block_index)
-        block = np.empty((hi - lo, grid.n_steps))
+        # per model, row j holds every path's log(S_{t_j}/s0), so each step writes one contiguous row
+        blocks = [np.empty((grid.n_steps, hi - lo)) for _ in models]
         for j in range(grid.n_steps):
-            block[:, j] = step(gen, hi - lo)
+            variates = draw(gen, hi - lo)
+            for block, sampler in zip(blocks, samplers):
+                increment = sampler.assemble(variates)
+                if j:
+                    np.add(block[j - 1], increment, out=block[j])  # the sum cumsum along a path makes
+                else:
+                    block[0] = increment
         # in place and per block: only this block's paths are ever held, and the work runs on the pool
-        np.cumsum(block, axis=1, out=block)
-        np.exp(block, out=block)
-        block *= rnm.market.s0
-        terminal[lo:hi] = block[:, -1]
-        np.mean(block, axis=1, out=average[lo:hi])
+        for block, model, out in zip(blocks, models, outs):
+            np.exp(block, out=block)
+            block *= model.market.s0
+            out.terminal[lo:hi] = block[-1]
+            # np.mean of (rows, s) copies of cache-sized slices sums each path in its own order
+            for c in range(0, hi - lo, _MEAN_ROWS):
+                np.mean(block[:, c:c + _MEAN_ROWS].T.copy(), axis=1, out=out.average[lo + c:lo + c + _MEAN_ROWS])
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
         list(pool.map(run, spans))
-    return PathSet(terminal=terminal, average=average)
+    return outs[0] if isinstance(rnm, RiskNeutralModel) else outs

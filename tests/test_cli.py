@@ -2,8 +2,11 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levymc import cli
@@ -17,7 +20,7 @@ from levymc.cli import (
     write_csv,
 )
 from levymc.measures import MarketData, risk_neutralize
-from levymc.sampling import PathGrid, simulate_paths
+from levymc.sampling import BLOCK_SIZE, PathGrid, simulate_paths
 from levymc.special_fn import QuadratureError
 
 MINIMAL_NIG = {
@@ -146,6 +149,85 @@ def test_run_experiment_simulates_the_steps_its_payoff_reads(monkeypatch, payoff
     rows = run_experiment(cfg)
     assert grids == [PathGrid(cfg.market.T, simulated_steps)]
     assert [(row.n_steps, row.status) for row in rows] == [(5, "ok")]
+
+
+# both VG measures and both schemes at the vg-lecuyer parameters: bgss shares
+# its draws across the measures, dg does not (the Esscher shape_minus differs)
+VG_BOTH_MEASURES = json.loads((Path(__file__).parent / "configs" / "vg-lecuyer-both-measures.json").read_text())
+NIG_ASIAN_BOTH_MEASURES = dict(
+    MINIMAL_NIG, measure=["esscher", "mean_correct"], strikes=[34.0, 36.0], payoff="asian_arithmetic_call",
+)
+
+
+def _one_simulation_per_cell(cfg):
+    """(measure, scheme, strike, price, SE) from one one-model simulation per (measure, scheme), priced with np.std."""
+    grid = PathGrid(cfg.market.T, cfg.n_steps)
+    discount = math.exp(-cfg.market.r * cfg.market.T)
+    cells = []
+    for measure in cfg.measures:
+        rnm = risk_neutralize(cfg.params, cfg.market, measure)
+        for scheme in cfg.schemes:
+            paths = simulate_paths(rnm, grid, cfg.n_paths, cfg.seed, scheme=scheme)
+            for strike in cfg.strikes:
+                discounted = discount * np.maximum(paths.average - strike, 0.0)
+                std_error = float(np.std(discounted, ddof=1) / math.sqrt(cfg.n_paths))
+                cells.append((measure, scheme, strike, float(np.mean(discounted)), std_error))
+    return cells
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("doc", [
+    dict(cli._PRESET_DOCS["vg-table"][0], n_paths=2 * BLOCK_SIZE + 5),
+    VG_BOTH_MEASURES,
+], ids=["vg-table", "vg-lecuyer-both-measures"])
+def test_run_experiment_rows_equal_one_simulation_per_cell(doc, workers):
+    cfg = parse_config(json.dumps(dict(doc, workers=workers)))
+    assert cfg.n_paths > BLOCK_SIZE
+    rows = run_experiment(cfg)
+    assert [(r.measure, r.scheme, r.strike, r.price, r.std_error) for r in rows] == _one_simulation_per_cell(cfg)
+    assert all(r.status == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("doc, simulations", [
+    (cli._PRESET_DOCS["vg-table"][0], [("bgss", ["esscher", "mean_correct"]), ("dg", ["esscher", "mean_correct"])]),
+    (VG_BOTH_MEASURES, [("bgss", ["esscher", "mean_correct"]), ("dg", ["esscher"]), ("dg", ["mean_correct"])]),
+    (NIG_ASIAN_BOTH_MEASURES, [("ig", ["esscher"]), ("ig", ["mean_correct"])]),
+], ids=["vg-table", "vg-lecuyer-both-measures", "nig-asian"])
+def test_run_experiment_simulates_measures_together_only_when_their_draws_match(monkeypatch, doc, simulations):
+    calls = []
+
+    def recording(models, grid, *args, scheme, **kwargs):
+        calls.append((scheme, [model.measure for model in models]))
+        return simulate_paths(models, grid, *args, scheme=scheme, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", recording)
+    cfg = parse_config(json.dumps(dict(doc, n_paths=100)))
+    rows = run_experiment(cfg)
+    assert calls == simulations
+    # rows keep the (measure, scheme, strike) order whatever was simulated together
+    assert [(r.measure, r.scheme, r.strike) for r in rows] == [
+        (m, s, k) for m in cfg.measures for s in cfg.schemes for k in cfg.strikes
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("doc, schemes, models, vectors", [
+    (NIG_ASIAN_BOTH_MEASURES, ["ig"], 1, 3),  # one PathSet and one payoff vector
+    (VG_BOTH_MEASURES, ["bgss"], 2, 5),  # two PathSets from shared draws and one payoff vector
+], ids=["nig-asian", "vg-shared"])
+def test_run_experiment_memory_in_n_vectors(doc, schemes, models, vectors, workers):
+    # n-vectors of 8*n bytes, plus per worker each simulated model's
+    # (s, BLOCK_SIZE) buffer and a few block-length temporaries
+    n_paths, n_steps = 32 * BLOCK_SIZE, 4
+    cfg = parse_config(json.dumps(dict(doc, scheme=schemes, s=n_steps, n_paths=n_paths, workers=workers)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < vectors * 8 * n_paths + workers * models * BLOCK_SIZE * 8 * (n_steps + 8)
 
 
 def test_run_experiment_reports_measure_failure_as_row():

@@ -67,6 +67,16 @@ def test_mc_result_constant_payoffs():
     assert result.n_paths == 500 and result.seed == 5
 
 
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 129, 1000, 2 * 16384 + 5])
+def test_mc_result_std_error_is_np_std_bit_for_bit(n):
+    # the in-place variance repeats np.std(ddof=1)'s operations, so every CSV byte stays
+    payoffs = np.maximum(np.random.default_rng(n).standard_t(2.5, n) * 7.0, 0.0)
+    reference = payoffs.copy()
+    result = McResult.from_discounted_payoffs(payoffs, seed=0)
+    assert result.estimate == float(np.mean(reference))
+    assert result.std_error == float(np.std(reference, ddof=1) / math.sqrt(n))
+
+
 def test_price_mc_zero_strike_recovers_spot():
     rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
     result = price_mc(rnm, Payoff(EUROPEAN_CALL, 0.0), PathGrid(MARKET.T, 1), 100_000, seed=11)

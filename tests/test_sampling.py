@@ -18,7 +18,7 @@ from levymc.levy_models import (
     vg_from_mean_variance,
     vg_to_mean_variance,
 )
-from levymc.measures import MarketData, RiskNeutralModel
+from levymc.measures import ESSCHER, MEAN_CORRECT, MarketData, RiskNeutralModel, risk_neutralize
 from levymc.sampling import (
     BLOCK_SIZE,
     PathGrid,
@@ -28,6 +28,7 @@ from levymc.sampling import (
     sample_inverse_gaussian,
     sample_standard_normal,
     simulate_paths,
+    step_sampler,
 )
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
@@ -178,6 +179,55 @@ def test_scheme_dispatch_compatibility():
         simulate_paths(vg_rnm, PathGrid(1.0, 2), 10, seed=0, scheme="ig")
     with pytest.raises(ValueError):
         simulate_paths(vg_rnm, PathGrid(1.0, 2), 10, seed=0, scheme="sobol")
+    with pytest.raises(ValueError):
+        simulate_paths([nig_rnm, vg_rnm], PathGrid(1.0, 2), 10, seed=0, scheme="ig")
+    with pytest.raises(ValueError):
+        simulate_paths([], PathGrid(1.0, 2), 10, seed=0, scheme="ig")
+
+
+def test_gamma_is_a_scaled_standard_gamma():
+    # the VG samplers draw standard gammas and scale them, which is what
+    # Generator.gamma does internally; that keeps every path what it was
+    # and makes the draws independent of the gamma rates
+    for shape, scale in [(0.0625, 1.0 / 0.7), (0.20833333333333334, 3.3), (5.0, 0.1)]:
+        a = np.random.Generator(np.random.SFC64(7)).gamma(shape, scale, 10_000)
+        b = scale * np.random.Generator(np.random.SFC64(7)).standard_gamma(shape, 10_000)
+        assert np.array_equal(a, b)
+
+
+# the VG parameters of the vg-table and vg-lecuyer presets
+_VG_TABLE = VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)
+_VG_LECUYER = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
+_VG_MARKET = MarketData(s0=100.0, r=0.1, T=1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("params, scheme", [(_VG_TABLE, "bgss"), (_VG_TABLE, "dg"), (_VG_LECUYER, "bgss")])
+def test_shared_draws_give_each_model_its_own_paths_bit_for_bit(params, scheme, workers):
+    # Esscher moves only gamma rates, so both measures' draws are equal and
+    # one simulation serves both; each PathSet is the one-model PathSet
+    models = [risk_neutralize(params, _VG_MARKET, measure) for measure in (ESSCHER, MEAN_CORRECT)]
+    grid, n_paths = PathGrid(1.0, 8), 2 * BLOCK_SIZE + 5
+    assert models[0].drift_rate != models[1].drift_rate
+    shared = simulate_paths(models, grid, n_paths, seed=17, scheme=scheme, workers=workers)
+    assert len(shared) == 2
+    for model, paths in zip(models, shared):
+        alone = simulate_paths(model, grid, n_paths, seed=17, scheme=scheme, workers=workers)
+        assert np.array_equal(paths.terminal, alone.terminal)
+        assert np.array_equal(paths.average, alone.average)
+    assert not np.array_equal(shared[0].terminal, shared[1].terminal)
+
+
+@pytest.mark.parametrize("params, market, scheme", [
+    (NIG_BENCH, MarketData(s0=36.0, r=0.1, T=1.0 / 12.0), "ig"),  # Esscher moves the IG mean
+    (_VG_LECUYER, _VG_MARKET, "dg"),  # the Esscher shape_minus differs in its last bit
+])
+def test_models_whose_draws_differ_are_not_simulated_together(params, market, scheme):
+    models = [risk_neutralize(params, market, measure) for measure in (ESSCHER, MEAN_CORRECT)]
+    keys = [step_sampler(model, 1.0 / 16.0, scheme).key for model in models]
+    assert keys[0] != keys[1]
+    with pytest.raises(ValueError, match="cannot be shared"):
+        simulate_paths(models, PathGrid(1.0, 16), 10, seed=0, scheme=scheme)
 
 
 def _ig_draws(rnm, dt):
