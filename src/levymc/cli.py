@@ -324,9 +324,9 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     spot and average, and reused across strikes (common random numbers), so
     prices are comparable across strikes and the whole table is deterministic
     for a fixed seed.  Measures whose draws are equal under a scheme (the
-    sampler's ``key``; for VG, both measures) are simulated together: each
-    block draws its variates once and every measure builds its paths from
-    them, bit for bit the paths it would get alone.  European rows simulate
+    sampler's ``key``; both measures, under every scheme) are simulated
+    together: each block draws its variates once and every measure builds
+    its paths from them, bit for bit the paths it would get alone.  European rows simulate
     one step of length T; Asian rows simulate the config's ``s`` monitoring
     steps.  A measure that fails to exist, or a non-finite price, SE or CI,
     yields a row whose status says so.  Rows come in (measure, scheme,

@@ -153,8 +153,11 @@ def nig_density(p: NigParams, x, t: float = 1.0):
 def nig_cumulant(p: NigParams, theta):
     """Per-unit-time cumulant mu*theta + delta*(gamma_bar - sqrt(alpha^2 - (beta + theta)^2)).
 
-    Defined for |beta + Re theta| <= alpha, where the principal square root
-    is the analytic one; outside that strip a ValueError is raised.
+    Evaluated as mu*theta + delta*theta*(2 beta + theta)/(gamma_bar + sqrt(alpha^2 - (beta + theta)^2)),
+    the same function with the difference of square roots rationalised, so a
+    small theta loses no digits to cancellation.  Defined for
+    |beta + Re theta| <= alpha, where the principal square root is the
+    analytic one; outside that strip a ValueError is raised.
     """
     b = p.beta + theta
     if abs(b.real) > p.alpha:
@@ -162,7 +165,7 @@ def nig_cumulant(p: NigParams, theta):
             f"exponential moment undefined: |beta + theta| = {abs(b.real):g} exceeds alpha = {p.alpha:g}"
         )
     sqrt = cmath.sqrt if isinstance(theta, complex) else math.sqrt
-    return p.mu * theta + p.delta * (p.gamma_bar - sqrt(p.alpha**2 - b * b))
+    return p.mu * theta + p.delta * (theta * (2.0 * p.beta + theta)) / (p.gamma_bar + sqrt(p.alpha**2 - b * b))
 
 
 def nig_mean_rate(p: NigParams) -> float:

@@ -171,36 +171,52 @@ def vg_esscher(p: VgParams) -> EsscherSolution:
     With q(t) = beta*t + sigma^2 t^2/2 and eps = 1 - exp(x0/lam), the equation
     cumulant(theta + 1) = cumulant(theta) reads
 
-        eps * (gamma_rate - q(theta)) = beta + sigma^2 * (theta + 1/2),
+        eps * (gamma_rate - q(theta)) = beta + sigma^2 * (theta + 1/2).
 
-    a quadratic in theta that turns linear, theta* = -beta/sigma^2 - 1/2, at
-    x0 = 0.  Both roots are taken in cancellation-free form; the excess return
-    is strictly increasing where theta and theta + 1 keep q below gamma_rate,
-    so at most one root lies there.  The tilted process is
-    VG(x0, lam, gamma_rate - q(theta*), beta + sigma^2 theta*, sigma).
+    q stays below gamma_rate between the roots t_lo < t_hi of q = gamma_rate,
+    so theta and theta + 1 are both in the cumulant domain iff the offset
+    d = theta - t_lo lies in (0, w), w = t_hi - 1 - t_lo = 2g/sigma^2 with
+    g = sqrt(beta^2 + 2 sigma^2 gamma_rate) - sigma^2/2: the tilt exists iff
+    g > 0.  On that scale gamma_rate - q(theta) = (sigma^2/2) d (w + 1 - d),
+    gamma_rate - q(theta + 1) = (sigma^2/2) (d + 1) (w - d), and the equation
+    is the quadratic
+
+        (eps/2) d^2 + (1 - eps (w + 1)/2) d - w/2 = 0,
+
+    which is negative at d = 0 and (1 - eps) w/2 > 0 at d = w, so exactly one
+    root lies in (0, w); it is d = w/2 at x0 = 0 and is taken in
+    cancellation-free form.  The tilted clock rate and the residual come from
+    the factored forms, so they keep their digits however close g is to 0,
+    where gamma_rate - q(theta*) is far below the rounding of q.  The tilted
+    process is VG(x0, lam, gamma_rate - q(theta*), beta + sigma^2 theta*,
+    sigma), its drift beta + sigma^2 theta* taken from the equation as
+    eps*(gamma_rate - q(theta*)) - sigma^2/2.
     """
     s2 = p.sigma**2
     eps = -math.expm1(p.x0 / p.lam)
-    a = 0.5 * eps * s2
-    b = eps * p.beta + s2
-    c = p.beta + 0.5 * s2 - eps * p.gamma_rate
-    disc = b * b - 4.0 * a * c
-    roots = []
-    if disc >= 0:
-        half = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        roots = ([c / half] if half != 0.0 else []) + ([half / a] if a != 0.0 else [])
-
-    q = p.brownian_cumulant
-    inside = [t for t in roots if q(t) < p.gamma_rate and q(t + 1.0) < p.gamma_rate]
-    if not inside:
+    root = math.sqrt(p.beta**2 + 2.0 * s2 * p.gamma_rate)
+    # g = root - s2/2, rationalised
+    g = (p.beta**2 + s2 * (2.0 * p.gamma_rate - 0.25 * s2)) / (root + 0.5 * s2)
+    if not g > 0:
+        raise MeasureExistenceError(
+            "Esscher measure does not exist: beta^2 + 2 sigma^2 gamma_rate must exceed sigma^4/4 "
+            "for theta and theta + 1 to share the cumulant domain"
+        )
+    width = 2.0 * g / s2
+    b = 1.0 - 0.5 * eps * (width + 1.0)
+    sq = math.sqrt(b * b + eps * width)
+    # the quadratic's root (sq - b)/eps, in the form that does not cancel
+    d = width / (b + sq) if b > 0 else (sq - b) / eps
+    if not 0.0 < d < width:
         raise MeasureExistenceError(
             "Esscher measure does not exist: no real root of the tilt equation keeps theta "
             "and theta + 1 inside the cumulant domain"
         )
-    theta_star = inside[0]
-    residual = cumulant(p, theta_star + 1.0) - cumulant(p, theta_star)
-    rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=p.gamma_rate - q(theta_star),
-                  beta=p.beta + s2 * theta_star, sigma=p.sigma)
+    # theta* = t_lo + d, with t_lo = -beta/s2 - 1/2 - width/2: exact at x0 = 0, where d = width/2
+    theta_star = (d - 0.5 * width) - p.beta / s2 - 0.5
+    clock_rate = 0.5 * s2 * d * ((width - d) + 1.0)
+    residual = p.x0 - p.lam * math.log(((width - d) * (1.0 + d)) / (d * ((width - d) + 1.0)))
+    rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=clock_rate, beta=eps * clock_rate - 0.5 * s2, sigma=p.sigma)
     return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, target=0.0, residual=residual)
 
 

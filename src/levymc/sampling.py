@@ -7,19 +7,22 @@ is the only place where scheme/model compatibility is defined, and
 
 Each sampler is split into ``draw``, which consumes the generator, and
 ``assemble``, which turns the draws into log increments.  ``key`` names every
-value the draws depend on, so models whose keys are equal (for VG, both
-measures: the Esscher tilt moves gamma rates, never a gamma shape) are
-simulated together: each block draws its variates once per step, and every
-model builds its own paths from them.
+value the draws depend on, so models whose keys are equal are simulated
+together: each block draws its variates once per step, and every model
+builds its own paths from them.  Both measures share their draws under every
+scheme: the Esscher tilt moves gamma rates but never a gamma shape, and one
+``ig`` step draws v = nu^2 of a standard normal nu, a uniform U and the path
+normal, from which each measure builds its own inverse Gaussian variate
+(``inverse_gaussian_from_draws``).
 
 Reproducibility model: every simulation consumes randomness through SFC64
 streams keyed by (seed, block index), one ``SeedSequence(seed,
-spawn_key=(block,))`` per block (stream layout v2, ``STREAM_LAYOUT``).  Paths
-are generated in fixed-size blocks; each block is reduced to its paths'
-terminal spots and averages, written into their block positions, so no
-(n_paths, s) matrix is ever held and the output is bit-identical across runs
-and across any number of workers.  The block size is a build constant;
-changing it changes the stream layout.
+spawn_key=(block,))`` per block (``STREAM_LAYOUT``).  Paths are generated in
+fixed-size blocks; each block is reduced to its paths' terminal spots and
+averages, written into their block positions, so no (n_paths, s) matrix is
+ever held and the output is bit-identical across runs and across any number
+of workers.  The block size is a build constant; changing it changes the
+stream layout.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ __all__ = [
     "sample_standard_normal",
     "sample_gamma",
     "sample_inverse_gaussian",
+    "inverse_gaussian_from_draws",
     "simulate_paths",
     "step_sampler",
     "StepSampler",
@@ -57,7 +61,9 @@ BLOCK_SIZE = 16384
 #   v1: Philox with key [seed, stream_id].
 #   v2: SFC64 seeded by SeedSequence(seed, spawn_key=(stream_id,)), the same
 #       stream SeedSequence(seed).spawn() hands to child stream_id.
-STREAM_LAYOUT = 2
+#   v3: the v2 streams; an ig step draws count normals (squared), count
+#       uniforms and count path normals instead of Generator.wald and normals.
+STREAM_LAYOUT = 3
 
 # Paths per slice when a block's spots are averaged; any value gives the same bits.
 _MEAN_ROWS = 1024
@@ -166,15 +172,46 @@ class StepSampler(NamedTuple):
     key: tuple[float, ...]
     # (gen, count) -> the step's variates; the only part that consumes the generator
     draw: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]]
-    # variates -> one column of count log increments; arithmetic only, the variates are not written
-    assemble: Callable[[tuple[np.ndarray, ...]], np.ndarray]
+    # (variates, out) -> writes one column of count log increments into out; the variates are not written
+    assemble: Callable[[tuple[np.ndarray, ...], np.ndarray], None]
+
+
+def inverse_gaussian_from_draws(v: np.ndarray, u: np.ndarray, mean: float, shape: float,
+                                out: np.ndarray | None = None) -> np.ndarray:
+    """IG(mean, shape) variates from v = nu^2 of standard normals nu and uniforms u.
+
+    The transformation of Michael, Schucany & Haas (1976), the method of
+    ``Generator.wald``: with rho = shape/mean, the smaller root of the IG
+    chi-square equation is
+
+        x = mean*2rho / (2rho + v + sqrt(v*(v + 4rho))),
+
+    a quotient of positive terms (no 0/0 at v = 0, no cancellation), and the
+    variate is x if u*(mean + x) <= mean, else mean^2/x.  Written into
+    ``out`` when given; ``v`` and ``u`` are not written.
+    """
+    two_rho = 2.0 * shape / mean
+    x = np.add(v, 2.0 * two_rho, out=out)
+    x *= v
+    np.sqrt(x, out=x)
+    x += v
+    x += two_rho
+    np.divide(mean * two_rho, x, out=x)
+    reject = np.add(x, mean)
+    reject *= u
+    return np.divide(mean * mean, x, out=x, where=reject > mean)
 
 
 def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     """NIG by inverse Gaussian subordination, exact in law at any step count.
 
-    Log increment (mu + drift_rate)*dt + beta*z + sqrt(z)*N(0,1) with
-    z ~ IG(delta*dt/sqrt(alpha^2 - beta^2), (delta*dt)^2).
+    Log increment (mu + drift_rate)*dt + beta*z + sqrt(z)*eps with
+    z ~ IG(delta*dt/sqrt(alpha^2 - beta^2), (delta*dt)^2) and eps ~ N(0,1).
+    ``draw`` depends on no parameter: it returns v = nu^2 for a standard
+    normal nu, a uniform U and eps, and each model maps (v, U) to its own z
+    with ``inverse_gaussian_from_draws``.  Neither measure moves delta, so
+    the key, the IG shape, is equal across the measures of one market and
+    they share every draw.
     """
     p = rnm.model
     ig_mean = p.delta * dt / p.gamma_bar
@@ -182,13 +219,20 @@ def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     base = (p.mu + rnm.drift_rate) * dt
 
     def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        return gen.wald(ig_mean, ig_shape, size=count), gen.standard_normal(count)
+        v = gen.standard_normal(count)
+        np.square(v, out=v)
+        return v, gen.random(count), gen.standard_normal(count)
 
-    def assemble(variates: tuple[np.ndarray, ...]) -> np.ndarray:
-        z, eps = variates
-        return base + p.beta * z + np.sqrt(z) * eps
+    def assemble(variates: tuple[np.ndarray, ...], out: np.ndarray) -> None:
+        v, u, eps = variates
+        z = inverse_gaussian_from_draws(v, u, ig_mean, ig_shape, out=out)
+        scratch = np.sqrt(z)
+        scratch *= eps
+        z *= p.beta
+        z += base
+        z += scratch
 
-    return StepSampler((ig_mean, ig_shape), draw, assemble)
+    return StepSampler((ig_shape,), draw, assemble)
 
 
 def _bgss_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
@@ -207,10 +251,15 @@ def _bgss_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
         return gen.standard_gamma(clock_shape, count), gen.standard_normal(count)
 
-    def assemble(variates: tuple[np.ndarray, ...]) -> np.ndarray:
+    def assemble(variates: tuple[np.ndarray, ...], out: np.ndarray) -> None:
         g, eps = variates
-        z = clock_scale * g
-        return base + p.beta * z + p.sigma * np.sqrt(z) * eps
+        np.multiply(g, clock_scale, out=out)  # z
+        scratch = np.sqrt(out)
+        scratch *= p.sigma
+        scratch *= eps
+        out *= p.beta
+        out += base
+        out += scratch
 
     return StepSampler((clock_shape,), draw, assemble)
 
@@ -230,24 +279,26 @@ def dg_gamma_components(mv: VgMeanVarianceParams) -> tuple[float, float, float, 
 def _dg_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     """VG as the difference of two gammas, same law as BGSS.
 
-    With the clock rescaled to unit mean rate, the legs have per-step shapes
-    mu+-^2*dt/nu+- and rates mu+-/nu+-; each leg is a standard gamma scaled
-    by its 1/rate.
+    With the clock rescaled to unit mean rate, both legs have the per-step
+    shape mu+-^2*dt/nu+- = dt/nu, which the Esscher tilt does not move, and
+    rates mu+-/nu+-; each leg is a standard gamma scaled by its 1/rate.
     """
     mv, x0 = vg_to_mean_variance(rnm.model)
     mu_plus, mu_minus, nu_plus, nu_minus = dg_gamma_components(mv)
-    shape_plus, scale_plus = mu_plus**2 * dt / nu_plus, nu_plus / mu_plus
-    shape_minus, scale_minus = mu_minus**2 * dt / nu_minus, nu_minus / mu_minus
+    shape = dt / mv.nu
+    scale_plus, scale_minus = nu_plus / mu_plus, nu_minus / mu_minus
     base = (x0 + rnm.drift_rate) * dt
 
     def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        return gen.standard_gamma(shape_plus, count), gen.standard_gamma(shape_minus, count)
+        return gen.standard_gamma(shape, count), gen.standard_gamma(shape, count)
 
-    def assemble(variates: tuple[np.ndarray, ...]) -> np.ndarray:
+    def assemble(variates: tuple[np.ndarray, ...], out: np.ndarray) -> None:
         g_plus, g_minus = variates
-        return base + scale_plus * g_plus - scale_minus * g_minus
+        np.multiply(g_plus, scale_plus, out=out)
+        out += base
+        out -= scale_minus * g_minus
 
-    return StepSampler((shape_plus, shape_minus), draw, assemble)
+    return StepSampler((shape,), draw, assemble)
 
 
 # scheme name -> (model kind it simulates, step-sampler factory)
@@ -316,11 +367,9 @@ def simulate_paths(
         for j in range(grid.n_steps):
             variates = draw(gen, hi - lo)
             for block, sampler in zip(blocks, samplers):
-                increment = sampler.assemble(variates)
+                sampler.assemble(variates, block[j])
                 if j:
-                    np.add(block[j - 1], increment, out=block[j])  # the sum cumsum along a path makes
-                else:
-                    block[0] = increment
+                    block[j] += block[j - 1]  # the sum cumsum along a path makes
         # in place and per block: only this block's paths are ever held, and the work runs on the pool
         for block, model, out in zip(blocks, models, outs):
             np.exp(block, out=block)

@@ -3,6 +3,10 @@
 These wrap the battle-tested SciPy routines behind the small, explicit
 contracts the rest of the library relies on (error signalling instead of
 silent bad values, controlled tail truncation for semi-infinite integrals).
+
+Only the ``scipy`` package is imported here; its ``integrate``, ``optimize``
+and ``special`` submodules load on their first use, so importing levymc, or
+pricing by Monte Carlo alone, never loads them.
 """
 from __future__ import annotations
 
@@ -12,9 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciintegrate
-from scipy import optimize as _sciopt
-from scipy import special as _scispecial
+import scipy
 
 __all__ = [
     "QuadratureSpec",
@@ -75,7 +77,7 @@ def bessel_k(order: float, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("bessel_k requires x > 0")
-    out = _scispecial.kv(order, arr)
+    out = scipy.special.kv(order, arr)
     if np.any(arr > _BESSEL_UNDERFLOW_X):
         warnings.warn(
             f"bessel_k underflow for x > {_BESSEL_UNDERFLOW_X:g}; returning 0",
@@ -98,11 +100,11 @@ def log_bessel_k(order: float, x):
     if isinstance(x, float):
         if x <= 0:
             raise ValueError("log_bessel_k requires x > 0")
-        return float(np.log(_scispecial.kve(order, x)) - x)
+        return float(np.log(scipy.special.kve(order, x)) - x)
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("log_bessel_k requires x > 0")
-    out = np.log(_scispecial.kve(order, arr)) - arr
+    out = np.log(scipy.special.kve(order, arr)) - arr
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -111,12 +113,12 @@ def log_gamma(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("log_gamma requires x > 0")
-    out = _scispecial.gammaln(arr)
+    out = scipy.special.gammaln(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def _quad_finite(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> float:
-    value, abserr, info, *rest = _sciintegrate.quad(
+    value, abserr, info, *rest = scipy.integrate.quad(
         f, a, b,
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
@@ -185,5 +187,5 @@ def find_root(f: Callable[[float], float], bracket_lo: float, bracket_hi: float,
             f"no sign change on [{bracket_lo}, {bracket_hi}]: "
             f"f(lo)={f_lo:g}, f(hi)={f_hi:g}"
         )
-    root = _sciopt.brentq(f, bracket_lo, bracket_hi, xtol=tol, rtol=8.9e-16)
+    root = scipy.optimize.brentq(f, bracket_lo, bracket_hi, xtol=tol, rtol=8.9e-16)
     return min(max(root, bracket_lo), bracket_hi)

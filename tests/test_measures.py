@@ -1,5 +1,6 @@
 """Risk-neutral measure construction: Esscher tilts, drift corrections, martingale checks."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -131,15 +132,41 @@ def test_vg_esscher_existence_boundary():
     p = VgParams(x0=1e-8, lam=1.0, gamma_rate=0.125, beta=0.0, sigma=1.0)
     with pytest.raises(MeasureExistenceError):
         vg_esscher(p)
-    # in general the tilt exists iff beta^2 + 2*sigma^2*gamma > sigma^4/4; at
-    # beta = 1e-5 it holds by 1e-10 only, below rounding, and is reported as not
+    # in general the tilt exists iff beta^2 + 2*sigma^2*gamma > sigma^4/4, whatever x0
     for x0 in [0.0, 0.3, -0.3]:
-        for beta, gamma_rate in [(0.0, 0.5), (1e-5, 0.5), (0.0, 0.4)]:
+        for beta, gamma_rate in [(0.0, 0.5), (0.0, 0.4)]:
             with pytest.raises(MeasureExistenceError):
                 vg_esscher(VgParams(x0=x0, lam=0.5, gamma_rate=gamma_rate, beta=beta, sigma=2.0))
         # 0.5% inside: the tilted clock rate is small but well above rounding
         sol = vg_esscher(VgParams(x0=x0, lam=0.5, gamma_rate=0.505, beta=0.0, sigma=2.0))
         assert abs(sol.residual) <= 1e-10 and sol.risk_neutral_params.gamma_rate > 0
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.3, -0.3])
+def test_vg_esscher_exists_next_to_the_boundary(x0):
+    # beta = 1e-5 is inside by beta^2 = 1e-10 of sigma^4/4 = 4: the tilted
+    # clock rate gamma_rate - q(theta*) is about 1e-11, below the rounding of
+    # q, and every float theta* missed the 1e-10 residual evaluated through q
+    # (-4.4e-6).  The offset d = theta* - t_lo and the factored forms keep it.
+    p = VgParams(x0=x0, lam=0.5, gamma_rate=0.5, beta=1e-5, sigma=2.0)
+    sol = vg_esscher(p)
+    rn = sol.risk_neutral_params
+    assert abs(sol.residual) <= 1e-10
+    assert 0.0 < rn.gamma_rate < 2e-11
+    # theta* and theta* + 1 are inside the cumulant domain, just
+    assert p.brownian_cumulant(sol.theta_star) < p.gamma_rate
+    assert p.brownian_cumulant(sol.theta_star + 1.0) < p.gamma_rate
+    if x0 == 0.0:
+        # theta* = -beta/sigma^2 - 1/2 exactly; the tilted clock rate against 50 digits
+        assert sol.theta_star == -p.beta / 4.0 - 0.5
+        with localcontext() as ctx:
+            ctx.prec = 50
+            beta, theta = Decimal(p.beta), -Decimal(p.beta) / 4 - Decimal("0.5")
+            exact = Decimal("0.5") - beta * theta - 2 * theta * theta
+        assert abs(Decimal(rn.gamma_rate) - exact) <= 4 * Decimal(np.spacing(float(exact)))
+        # the tilted Brownian drift is -sigma^2/2, so the drift rate is r exactly
+        assert rn.beta == -2.0
+        assert risk_neutralize(p, MARKET, ESSCHER).drift_rate == MARKET.r
 
 
 def test_vg_esscher_solves_any_sigma_and_zero_start():
@@ -173,10 +200,10 @@ def test_vg_esscher_matches_bracketed_root_solve(sigma, nu, beta, x0):
     root = math.sqrt(beta**2 + 2.0 * sigma**2 * p.gamma_rate)
     t_lo, t_hi = (-beta - root) / sigma**2, (-beta + root) / sigma**2
     width = t_hi - 1.0 - t_lo
-    # Near the existence boundary width = 0 the tilted clock rate
-    # gamma_rate - q(theta*) shrinks with width toward the rounding in q, and
-    # below width ~ 2e-5 no float theta* meets the 1e-10 residual, so the
-    # solve reports non-existence there; test_vg_esscher_existence_boundary pins it.
+    # Near the existence boundary width = 0 the bracketed solve through q is
+    # itself ill-conditioned (the tilted clock rate gamma_rate - q(theta*)
+    # shrinks with width toward the rounding in q), so it is no reference
+    # there; test_vg_esscher_exists_next_to_the_boundary covers that region.
     assume(abs(width) > 1e-4 * (t_hi - t_lo))
     lo, hi = t_lo + 1e-9 * width, t_hi - 1.0 - 1e-9 * width
     try:

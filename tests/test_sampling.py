@@ -24,6 +24,7 @@ from levymc.sampling import (
     PathGrid,
     RngStream,
     dg_gamma_components,
+    inverse_gaussian_from_draws,
     sample_gamma,
     sample_inverse_gaussian,
     sample_standard_normal,
@@ -117,6 +118,50 @@ def test_inverse_gaussian_moments():
     assert np.all(draws > 0)
 
 
+def _nig_step_ig(dt):
+    # the IG mean and shape of one ig step of NIG_BENCH
+    return NIG_BENCH.delta * dt / NIG_BENCH.gamma_bar, (NIG_BENCH.delta * dt) ** 2
+
+
+# shape/mean = delta*dt*gamma_bar: 0.0044 at the nig-asian step (T = 1/12,
+# s = 16), 0.016 and 0.84 at one step of the surface's shortest and longest
+# maturity (T = 1/52 and 1), and a near-normal 50
+_MSH_STEPS = [_nig_step_ig(dt) for dt in (1.0 / 192.0, 1.0 / 52.0, 1.0)] + [(2.0, 100.0)]
+_MSH_IDS = ["nig-asian-step", "surface-1-week", "surface-1-year", "near-normal"]
+
+
+@pytest.mark.parametrize("mean, shape", _MSH_STEPS, ids=_MSH_IDS)
+def test_inverse_gaussian_from_draws_moments(mean, shape):
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(83)))
+    n = 1_000_000
+    z = inverse_gaussian_from_draws(gen.standard_normal(n) ** 2, gen.random(n), mean, shape)
+    assert np.all(z > 0)
+    # IG(m, lam): variance m^3/lam, excess kurtosis 15 m/lam
+    var = mean**3 / shape
+    assert z.mean() == pytest.approx(mean, abs=4.0 * math.sqrt(var / n))
+    assert z.var(ddof=1) == pytest.approx(var, rel=4.0 * math.sqrt((2.0 + 15.0 * mean / shape) / n))
+
+
+@pytest.mark.parametrize("mean, shape", _MSH_STEPS, ids=_MSH_IDS)
+def test_inverse_gaussian_from_draws_matches_wald(mean, shape):
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(89)))
+    n = 20_000
+    msh = inverse_gaussian_from_draws(gen.standard_normal(n) ** 2, gen.random(n), mean, shape)
+    assert stats.ks_2samp(msh, gen.wald(mean, shape, n)).pvalue > 0.01
+
+
+def test_inverse_gaussian_from_draws_writes_only_out():
+    gen = np.random.Generator(np.random.SFC64(97))
+    v, u = gen.standard_normal(1000) ** 2, gen.random(1000)
+    v0, u0, out = v.copy(), u.copy(), np.empty(1000)
+    z = inverse_gaussian_from_draws(v, u, 0.3, 0.05, out=out)
+    assert z is out
+    assert np.array_equal(v, v0) and np.array_equal(u, u0)
+    assert np.array_equal(out, inverse_gaussian_from_draws(v, u, 0.3, 0.05))
+    # at v = 0 the root is the mean itself, up to rounding
+    assert inverse_gaussian_from_draws(np.zeros(1), np.zeros(1), 0.3, 0.05)[0] == pytest.approx(0.3, rel=1e-15)
+
+
 def test_inverse_gaussian_concentrates_as_shape_grows():
     variances = [
         sample_inverse_gaussian(RngStream(5, i + 1), 2.0, shape, size=100_000).var(ddof=1)
@@ -202,10 +247,13 @@ _VG_MARKET = MarketData(s0=100.0, r=0.1, T=1.0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("params, scheme", [(_VG_TABLE, "bgss"), (_VG_TABLE, "dg"), (_VG_LECUYER, "bgss")])
+@pytest.mark.parametrize("params, scheme", [
+    (_VG_TABLE, "bgss"), (_VG_TABLE, "dg"), (_VG_LECUYER, "bgss"), (_VG_LECUYER, "dg"), (NIG_BENCH, "ig"),
+])
 def test_shared_draws_give_each_model_its_own_paths_bit_for_bit(params, scheme, workers):
-    # Esscher moves only gamma rates, so both measures' draws are equal and
-    # one simulation serves both; each PathSet is the one-model PathSet
+    # Esscher moves gamma rates and the IG mean, neither of which the draws
+    # depend on, so one simulation serves both measures; each PathSet is the
+    # one-model PathSet
     models = [risk_neutralize(params, _VG_MARKET, measure) for measure in (ESSCHER, MEAN_CORRECT)]
     grid, n_paths = PathGrid(1.0, 8), 2 * BLOCK_SIZE + 5
     assert models[0].drift_rate != models[1].drift_rate
@@ -219,11 +267,13 @@ def test_shared_draws_give_each_model_its_own_paths_bit_for_bit(params, scheme, 
 
 
 @pytest.mark.parametrize("params, market, scheme", [
-    (NIG_BENCH, MarketData(s0=36.0, r=0.1, T=1.0 / 12.0), "ig"),  # Esscher moves the IG mean
-    (_VG_LECUYER, _VG_MARKET, "dg"),  # the Esscher shape_minus differs in its last bit
+    # the IG shapes (delta*dt)^2 differ
+    ((NIG_BENCH, NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0206)),
+     MarketData(s0=36.0, r=0.1, T=1.0 / 12.0), "ig"),
+    ((_VG_TABLE, _VG_LECUYER), _VG_MARKET, "dg"),  # the leg shapes dt/nu differ
 ])
 def test_models_whose_draws_differ_are_not_simulated_together(params, market, scheme):
-    models = [risk_neutralize(params, market, measure) for measure in (ESSCHER, MEAN_CORRECT)]
+    models = [risk_neutralize(p, market, ESSCHER) for p in params]
     keys = [step_sampler(model, 1.0 / 16.0, scheme).key for model in models]
     assert keys[0] != keys[1]
     with pytest.raises(ValueError, match="cannot be shared"):
@@ -232,10 +282,15 @@ def test_models_whose_draws_differ_are_not_simulated_together(params, market, sc
 
 def _ig_draws(rnm, dt):
     p = rnm.model
+    m, lam = p.delta * dt / p.gamma_bar, (p.delta * dt) ** 2
+    two_rho = 2.0 * lam / m
 
     def step(gen, n):
-        z = gen.wald(p.delta * dt / p.gamma_bar, (p.delta * dt) ** 2, size=n)
-        return (p.mu + rnm.drift_rate) * dt + p.beta * z + np.sqrt(z) * gen.standard_normal(n)
+        v = gen.standard_normal(n) ** 2
+        u = gen.random(n)
+        x = m * two_rho / ((np.sqrt((v + 2.0 * two_rho) * v) + v) + two_rho)
+        z = np.where(u * (x + m) <= m, x, m * m / x)
+        return (p.beta * z + (p.mu + rnm.drift_rate) * dt) + np.sqrt(z) * gen.standard_normal(n)
 
     return step
 
@@ -255,8 +310,8 @@ def _dg_draws(rnm, dt):
     mu_p, mu_m, nu_p, nu_m = dg_gamma_components(mv)
 
     def step(gen, n):
-        g_plus = gen.gamma(mu_p**2 * dt / nu_p, nu_p / mu_p, size=n)
-        g_minus = gen.gamma(mu_m**2 * dt / nu_m, nu_m / mu_m, size=n)
+        g_plus = gen.gamma(dt / mv.nu, nu_p / mu_p, size=n)
+        g_minus = gen.gamma(dt / mv.nu, nu_m / mu_m, size=n)
         return (x0 + rnm.drift_rate) * dt + g_plus - g_minus
 
     return step
@@ -269,9 +324,10 @@ _LAYOUT_CASES = {"ig": (NIG_BENCH, _ig_draws), "bgss": (_LAYOUT_VG, _bgss_draws)
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scheme", sorted(_LAYOUT_CASES))
 def test_stream_layout_is_pinned(scheme, workers):
-    # stream layout v2: block b of BLOCK_SIZE paths reads
+    # stream layout v3: block b of BLOCK_SIZE paths reads
     # SFC64(SeedSequence(seed, spawn_key=(b,))); each step draws the scheme's
-    # variates for the whole block, in order.  The walker's per-block terminal
+    # variates for the whole block, in order (ig: normals whose squares feed
+    # the Michael-Schucany-Haas map, uniforms, path normals).  The walker's per-block terminal
     # spots and averages equal those of the full reference matrix bit for bit.
     model, draws = _LAYOUT_CASES[scheme]
     rnm = RiskNeutralModel(
