@@ -2,6 +2,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from levymc.sampling import (
     BLOCK_SIZE,
     PathGrid,
     RngStream,
+    _standard_gamma,
     dg_gamma_components,
     inverse_gaussian_from_draws,
     sample_gamma,
@@ -100,6 +102,75 @@ def test_gamma_scale_family():
     scaled = 3.0 * sample_gamma(RngStream(11, 0), shape=2.0, rate=3.0, size=40_000)
     unit = sample_gamma(RngStream(11, 1), shape=2.0, rate=1.0, size=40_000)
     assert stats.ks_2samp(scaled, unit).pvalue > 0.01
+
+
+@pytest.mark.parametrize("shape", [1.0 / 16.0, 0.2083, 0.5, 0.99])
+def test_standard_gamma_small_shape_law(shape):
+    draws = _standard_gamma(np.random.Generator(np.random.SFC64(29)), shape, 200_000)
+    assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 0.01
+    se = draws.std(ddof=1) / math.sqrt(len(draws))
+    assert draws.mean() == pytest.approx(shape, abs=4.0 * se)
+
+
+class _RecordingGenerator:
+    """A generator that keeps each standard_gamma array it hands out."""
+
+    def __init__(self, gen):
+        self.gen, self.refills = gen, []
+
+    def random(self, n):
+        return self.gen.random(n)
+
+    def standard_exponential(self, n):
+        return self.gen.standard_exponential(n)
+
+    def standard_gamma(self, shape, n):
+        self.refills.append(self.gen.standard_gamma(shape, n))
+        return self.refills[-1]
+
+
+def test_standard_gamma_refills_rejected_slots_with_one_call():
+    gen = _RecordingGenerator(np.random.Generator(np.random.SFC64(31)))
+    draws = _standard_gamma(gen, 1.0 / 16.0, 4096)
+    assert len(gen.refills) == 1
+    refill = gen.refills[0]
+    assert 0 < refill.size < 4096 // 10  # about 3% of the slots at shape 1/16
+    assert np.array_equal(draws[np.isin(draws, refill)], refill)
+
+
+def test_standard_gamma_one_slot_is_numpys_draw():
+    # a one-slot trial and its refill read the stream as numpy's scalar loop
+    # does, so they give numpy's variate up to the rounding of exp(log(u)/a);
+    # 200 seeds at shape 0.3 include rejected trials
+    for seed in range(200):
+        for shape in (1.0 / 16.0, 0.3):
+            ours = _standard_gamma(np.random.Generator(np.random.SFC64(seed)), shape, 1)[0]
+            numpys = np.random.Generator(np.random.SFC64(seed)).standard_gamma(shape)
+            assert ours == pytest.approx(numpys, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [1.0, 2.5, 7.0])
+def test_standard_gamma_at_shape_one_and_above_is_numpys(shape):
+    ours = _standard_gamma(np.random.Generator(np.random.SFC64(37)), shape, 10_000)
+    assert np.array_equal(ours, np.random.Generator(np.random.SFC64(37)).standard_gamma(shape, 10_000))
+    gamma = sample_gamma(RngStream(37), shape, 3.0, size=10_000)
+    assert np.array_equal(gamma, RngStream(37).generator().gamma(shape, 1.0 / 3.0, 10_000))
+    assert sample_gamma(RngStream(37), shape, 3.0) == RngStream(37).generator().gamma(shape, 1.0 / 3.0)
+
+
+class _EdgeUniforms(_RecordingGenerator):
+    """Uniforms at the ends of [0, 1): 0 and the largest double below 1."""
+
+    def random(self, n):
+        return np.resize([0.0, 1.0 - 2.0**-53], n)
+
+
+@pytest.mark.parametrize("shape", [1.0 / 16.0, 0.5, 0.99])
+def test_standard_gamma_edge_uniforms_are_finite_without_warnings(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = _standard_gamma(_EdgeUniforms(np.random.Generator(np.random.SFC64(41))), shape, 64)
+    assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
 
 
 def test_gamma_rejects_bad_parameters():
@@ -231,9 +302,9 @@ def test_scheme_dispatch_compatibility():
 
 
 def test_gamma_is_a_scaled_standard_gamma():
-    # the VG samplers draw standard gammas and scale them, which is what
-    # Generator.gamma does internally; that keeps every path what it was
-    # and makes the draws independent of the gamma rates
+    # the VG samplers and sample_gamma draw standard gammas and scale them,
+    # which is what Generator.gamma does internally; that makes the draws
+    # independent of the gamma rates
     for shape, scale in [(0.0625, 1.0 / 0.7), (0.20833333333333334, 3.3), (5.0, 0.1)]:
         a = np.random.Generator(np.random.SFC64(7)).gamma(shape, scale, 10_000)
         b = scale * np.random.Generator(np.random.SFC64(7)).standard_gamma(shape, 10_000)
@@ -295,11 +366,26 @@ def _ig_draws(rnm, dt):
     return step
 
 
+def _small_shape_gammas(gen, a, n):
+    # numpy's shape < 1 method, one trial per slot written with np.where: U
+    # uniforms, then E exponentials; x = U^(1/a) against E when U <= 1 - a,
+    # else x = (1 - a + a*Y)^(1/a) against E + Y with Y = -log((1 - U)/a);
+    # the rejected slots, in order, get one Generator.standard_gamma array
+    assert a < 1.0
+    u, e = gen.random(n), gen.standard_exponential(n)
+    tail = u > 1.0 - a
+    y = np.where(tail, -np.log((1.0 - u) / a), 0.0)
+    x = np.where(tail, (1.0 - a + a * y) ** (1.0 / a), np.exp(np.log(u) / a))
+    rejected = x > e + y
+    x[rejected] = gen.standard_gamma(a, np.count_nonzero(rejected))
+    return x
+
+
 def _bgss_draws(rnm, dt):
     p = rnm.model
 
     def step(gen, n):
-        z = gen.gamma(p.lam * dt, 1.0 / p.gamma_rate, size=n)
+        z = (1.0 / p.gamma_rate) * _small_shape_gammas(gen, p.lam * dt, n)
         return (p.x0 + rnm.drift_rate) * dt + p.beta * z + p.sigma * np.sqrt(z) * gen.standard_normal(n)
 
     return step
@@ -310,9 +396,8 @@ def _dg_draws(rnm, dt):
     mu_p, mu_m, nu_p, nu_m = dg_gamma_components(mv)
 
     def step(gen, n):
-        g_plus = gen.gamma(dt / mv.nu, nu_p / mu_p, size=n)
-        g_minus = gen.gamma(dt / mv.nu, nu_m / mu_m, size=n)
-        return (x0 + rnm.drift_rate) * dt + g_plus - g_minus
+        g = _small_shape_gammas(gen, dt / mv.nu, 2 * n)
+        return (x0 + rnm.drift_rate) * dt + (nu_p / mu_p) * g[:n] - (nu_m / mu_m) * g[n:]
 
     return step
 
@@ -324,11 +409,14 @@ _LAYOUT_CASES = {"ig": (NIG_BENCH, _ig_draws), "bgss": (_LAYOUT_VG, _bgss_draws)
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scheme", sorted(_LAYOUT_CASES))
 def test_stream_layout_is_pinned(scheme, workers):
-    # stream layout v3: block b of BLOCK_SIZE paths reads
+    # stream layout v4: block b of BLOCK_SIZE paths reads
     # SFC64(SeedSequence(seed, spawn_key=(b,))); each step draws the scheme's
     # variates for the whole block, in order (ig: normals whose squares feed
-    # the Michael-Schucany-Haas map, uniforms, path normals).  The walker's per-block terminal
-    # spots and averages equal those of the full reference matrix bit for bit.
+    # the Michael-Schucany-Haas map, uniforms, path normals; bgss: clock
+    # gammas, path normals; dg: 2*count gammas, up legs first), every gamma
+    # of shape < 1 by one trial of numpy's method and a refill.  The walker's
+    # per-block terminal spots and averages equal those of the full reference
+    # matrix bit for bit.  _LAYOUT_VG's gamma shapes are 1/4 and 1/16.
     model, draws = _LAYOUT_CASES[scheme]
     rnm = RiskNeutralModel(
         model=model, measure="mean_correct", drift_rate=0.03, omega=0.0, market=MarketData(36.0, 0.0, 1.0),
@@ -347,6 +435,25 @@ def test_stream_layout_is_pinned(scheme, workers):
         assert paths.n_paths == n_paths
         assert np.array_equal(paths.terminal, expected[:, -1])
         assert np.array_equal(paths.average, expected.mean(axis=1))
+
+
+@pytest.mark.parametrize("measure", [ESSCHER, MEAN_CORRECT])
+@pytest.mark.parametrize("scheme, params, market", [
+    ("ig", NIG_BENCH, MarketData(36.0, 0.1, 1.0 / 12.0)),
+    ("bgss", _VG_LECUYER, _VG_MARKET),
+    ("dg", _VG_LECUYER, _VG_MARKET),
+    ("bgss", _LAYOUT_VG, MarketData(36.0, 0.05, 0.5)),
+    ("dg", _LAYOUT_VG, MarketData(36.0, 0.05, 0.5)),
+])
+def test_discounted_spot_is_a_martingale(scheme, params, market, measure):
+    # e^{-rT} E[S_T] = S0 under every (scheme, measure); the parameters have
+    # E[S_T^2] < inf, so the standard error is finite (vg-table's is not)
+    rnm = risk_neutralize(params, market, measure)
+    assert math.isfinite(cumulant(rnm.model, 2.0).real)
+    paths = simulate_paths(rnm, PathGrid(market.T, 4), 200_000, seed=4001, scheme=scheme, workers=2)
+    discounted = math.exp(-market.r * market.T) * paths.terminal
+    se = discounted.std(ddof=1) / math.sqrt(paths.n_paths)
+    assert discounted.mean() == pytest.approx(market.s0, abs=4.0 * se)
 
 
 @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
