@@ -7,12 +7,10 @@ European closed form based on tail probabilities serves as the validation
 benchmark for the simulator.
 """
 from .levy_models import (
-    GammaParams,
     NigParams,
     VgMeanVarianceParams,
     VgParams,
     cumulant,
-    gamma_density,
     nig_cumulant,
     nig_density,
     nig_levy_density,
@@ -28,7 +26,6 @@ from .measures import (
     MarketData,
     MeasureExistenceError,
     RiskNeutralModel,
-    esscher_theta,
     nig_esscher,
     risk_neutralize,
     vg_esscher,
@@ -51,7 +48,7 @@ from .sampling import (
     sample_standard_normal,
     simulate_paths,
 )
-from .special_fn import QuadratureSpec, bessel_k, find_root, integrate, log_gamma
+from .special_fn import QuadratureSpec, bessel_k, integrate, log_gamma
 
 __version__ = "0.1.0"
 
@@ -60,7 +57,6 @@ __all__ = [
     "ESSCHER",
     "EUROPEAN_CALL",
     "EsscherSolution",
-    "GammaParams",
     "MarketData",
     "McResult",
     "MeasureExistenceError",
@@ -76,10 +72,7 @@ __all__ = [
     "VgParams",
     "bessel_k",
     "cumulant",
-    "esscher_theta",
     "european_call_nig_closed",
-    "find_root",
-    "gamma_density",
     "integrate",
     "log_gamma",
     "nig_cumulant",

@@ -27,7 +27,7 @@ from typing import Sequence, Union
 from .levy_models import NigParams, VgMeanVarianceParams, VgParams
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
 from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, Payoff, european_call_nig_closed
-from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, PathSet, simulate_paths, step_sampler
+from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, PathSet, simulate_paths
 from .special_fn import QuadratureError
 
 __all__ = [
@@ -323,14 +323,15 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     Paths are simulated per (measure, scheme), each reduced to its terminal
     spot and average, and reused across strikes (common random numbers), so
     prices are comparable across strikes and the whole table is deterministic
-    for a fixed seed.  Measures whose draws are equal under a scheme (the
-    sampler's ``key``; both measures, under every scheme) are simulated
-    together: each block draws its variates once and every measure builds
-    its paths from them, bit for bit the paths it would get alone.  European rows simulate
-    one step of length T; Asian rows simulate the config's ``s`` monitoring
-    steps.  A measure that fails to exist, or a non-finite price, SE or CI,
-    yields a row whose status says so.  Rows come in (measure, scheme,
-    strike) order.
+    for a fixed seed.  Every measure that exists is simulated in one call per
+    scheme: the Esscher tilt moves neither delta nor lambda, so both measures'
+    draws are equal under every scheme (``simulate_paths`` raises if they
+    differ), and each block draws its variates once and every measure builds
+    its paths from them, bit for bit the paths it would get alone.  European
+    rows simulate one step of length T; Asian rows simulate the config's
+    ``s`` monitoring steps.  A measure that fails to exist, or a non-finite
+    price, SE or CI, yields a row whose status says so.  Rows come in
+    (measure, scheme, strike) order.
     """
     # a European payoff reads only the terminal spot, whose law is exact in one step of length T
     n_steps = 1 if cfg.payoff_kind == EUROPEAN_CALL else cfg.n_steps
@@ -353,17 +354,13 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
             for scheme in cfg.schemes:
                 cells[measure, scheme] = [_row(cfg, measure, scheme, k, str(exc)) for k in cfg.strikes]
 
-    for scheme in cfg.schemes:
-        groups: dict[tuple, list[str]] = {}
-        for measure, rnm in models.items():
-            groups.setdefault(step_sampler(rnm, grid.dt, scheme).key, []).append(measure)
-        for measures in groups.values():
-            path_sets = simulate_paths(
-                [models[m] for m in measures], grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers,
-            )
-            for measure in measures:
-                # popped, so each measure's two n-vectors are freed once its strikes are priced
-                cells[measure, scheme] = _priced_rows(cfg, measure, scheme, path_sets.pop(0), discount, closed)
+    for scheme in cfg.schemes if models else ():  # no call when every measure failed
+        path_sets = simulate_paths(
+            list(models.values()), grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers,
+        )
+        for measure in models:
+            # popped, so each measure's two n-vectors are freed once its strikes are priced
+            cells[measure, scheme] = _priced_rows(cfg, measure, scheme, path_sets.pop(0), discount, closed)
     return [row for measure in cfg.measures for scheme in cfg.schemes for row in cells[measure, scheme]]
 
 

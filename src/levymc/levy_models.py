@@ -1,4 +1,4 @@
-"""Parameter types and distributional functions for the NIG, gamma and VG processes.
+"""Parameter types and distributional functions for the NIG and VG processes.
 
 Conventions used throughout:
 
@@ -27,13 +27,11 @@ __all__ = [
     "NigParams",
     "VgParams",
     "VgMeanVarianceParams",
-    "GammaParams",
     "cumulant",
     "nig_density",
     "nig_cumulant",
     "nig_mean_rate",
     "nig_levy_density",
-    "gamma_density",
     "vg_cumulant",
     "vg_density",
     "vg_from_mean_variance",
@@ -100,20 +98,6 @@ class VgMeanVarianceParams:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not self.nu > 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Gamma subordinator: shape rate lam per unit time, rate gamma_rate."""
-
-    lam: float
-    gamma_rate: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.gamma_rate > 0:
-            raise ValueError(f"gamma_rate must be > 0, got {self.gamma_rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +174,8 @@ def nig_levy_density(p: NigParams, x):
 
 
 # ---------------------------------------------------------------------------
-# Gamma and VG
+# VG
 # ---------------------------------------------------------------------------
-
-def gamma_density(g: GammaParams, x, t: float = 1.0):
-    """Density of Gamma(lam*t, gamma_rate) at x > 0."""
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0):
-        raise ValueError("gamma_density requires x > 0")
-    shape = g.lam * t
-    log_f = shape * np.log(g.gamma_rate) + (shape - 1.0) * np.log(xa) - g.gamma_rate * xa - log_gamma(shape)
-    out = np.exp(log_f)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
 
 def _log1p(w: complex) -> complex:
     # principal log(1 + w) for Re(1 + w) > 0, with log|1 + w| = log1p(Re w) + log hypot(1, t),

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .levy_models import NigParams, VgMeanVarianceParams, VgParams, cumulant, vg_from_mean_variance
-from .special_fn import find_root
 
 __all__ = [
     "MarketData",
@@ -28,9 +26,7 @@ __all__ = [
     "MeasureExistenceError",
     "ESSCHER",
     "MEAN_CORRECT",
-    "esscher_theta",
     "nig_esscher",
-    "nig_esscher_bracket",
     "vg_esscher",
     "risk_neutralize",
 ]
@@ -66,7 +62,6 @@ class EsscherSolution:
 
     theta_star: float
     risk_neutral_params: NigParams | VgParams
-    target: float
     residual: float
 
     def __post_init__(self) -> None:
@@ -92,63 +87,26 @@ class RiskNeutralModel:
         return "nig" if isinstance(self.model, NigParams) else "vg"
 
 
-def esscher_theta(
-    kappa: Callable[[float], float],
-    target: float,
-    bracket: tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
-    """Solve kappa(theta + 1) - kappa(theta) = target on the given bracket, kappa a cumulant.
-
-    kappa must be defined on [bracket_lo, bracket_hi + 1].  Raises
-    MeasureExistenceError when the bracket shows no sign change.
-    """
-    lo, hi = bracket
-
-    def excess_return(theta: float) -> float:
-        return kappa(theta + 1.0) - kappa(theta) - target
-
-    f_lo, f_hi = excess_return(lo), excess_return(hi)
-    if f_lo * f_hi > 0:
-        raise MeasureExistenceError(
-            f"Esscher measure does not exist for this bracket [{lo:g}, {hi:g}]: "
-            f"no sign change (f(lo)={f_lo:g}, f(hi)={f_hi:g})"
-        )
-    return find_root(excess_return, lo, hi, tol=tol)
-
-
-def nig_esscher_bracket(p: NigParams, span: float = 50.0, margin: float = 1e-9) -> tuple[float, float]:
-    """Default root bracket: [-span, span] intersected with the cumulant domain.
-
-    Both theta and theta + 1 must stay inside |beta + .| <= alpha, hence the
-    -1 on the upper end; the margin keeps the square roots real.
-    """
-    lo = max(-span, -p.alpha - p.beta + margin)
-    hi = min(span, p.alpha - p.beta - 1.0 - margin)
-    return lo, hi
-
-
-def nig_esscher(p: NigParams, target: float = 0.0) -> EsscherSolution:
+def nig_esscher(p: NigParams) -> EsscherSolution:
     """Closed-form Esscher tilt for the NIG process.
 
-    Solves cumulant(theta + 1) - cumulant(theta) = target; with m = (target - mu)/delta
-    the tilted asymmetry is
+    Solves cumulant(theta + 1) = cumulant(theta), so the tilted cumulant at
+    1 vanishes, as the S = S0*exp(r t + X_t) dynamics used for simulation
+    need; with m = -mu/delta the tilted asymmetry is
 
         beta* = -1/2 + sign(m) * sqrt( alpha^2 m^2 / (1 + m^2) - m^2 / 4 )
 
-    and the tilted process is NIG(alpha, beta*, mu, delta).  The default
-    target 0 matches the S = S0*exp(r t + X_t) dynamics used for simulation.
+    and the tilted process is NIG(alpha, beta*, mu, delta).
     """
-    d = p.mu - target
-    disc = p.alpha**2 * d**2 / (p.delta**2 + d**2) - d**2 / (4.0 * p.delta**2)
+    disc = p.alpha**2 * p.mu**2 / (p.delta**2 + p.mu**2) - p.mu**2 / (4.0 * p.delta**2)
     if disc < 0:
         raise MeasureExistenceError(
             "Esscher measure does not exist: the closed form's square root is complex "
-            f"(drift gap {d:g} too large for alpha={p.alpha:g}, delta={p.delta:g})"
+            f"(drift mu={p.mu:g} too large for alpha={p.alpha:g}, delta={p.delta:g})"
         )
     # the tilted-equation excess return is increasing in theta, which selects
-    # the root on the side of -1/2 that the drift gap points to
-    beta_star = -0.5 + math.copysign(math.sqrt(disc), target - p.mu)
+    # the root on the side of -1/2 that -mu points to
+    beta_star = -0.5 + math.copysign(math.sqrt(disc), -p.mu)
     if not abs(beta_star) < p.alpha:
         raise MeasureExistenceError(
             f"Esscher measure does not exist: tilted asymmetry |beta*| = {abs(beta_star):g} "
@@ -160,9 +118,9 @@ def nig_esscher(p: NigParams, target: float = 0.0) -> EsscherSolution:
             f"exceeds alpha = {p.alpha:g}"
         )
     theta_star = beta_star - p.beta
-    residual = cumulant(p, theta_star + 1.0) - cumulant(p, theta_star) - target
+    residual = cumulant(p, theta_star + 1.0) - cumulant(p, theta_star)
     rn = NigParams(alpha=p.alpha, beta=beta_star, mu=p.mu, delta=p.delta)
-    return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, target=target, residual=residual)
+    return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, residual=residual)
 
 
 def vg_esscher(p: VgParams) -> EsscherSolution:
@@ -217,7 +175,7 @@ def vg_esscher(p: VgParams) -> EsscherSolution:
     clock_rate = 0.5 * s2 * d * ((width - d) + 1.0)
     residual = p.x0 - p.lam * math.log(((width - d) * (1.0 + d)) / (d * ((width - d) + 1.0)))
     rn = VgParams(x0=p.x0, lam=p.lam, gamma_rate=clock_rate, beta=eps * clock_rate - 0.5 * s2, sigma=p.sigma)
-    return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, target=0.0, residual=residual)
+    return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, residual=residual)
 
 
 def risk_neutralize(model: NigParams | VgParams | VgMeanVarianceParams, market: MarketData, measure: str) -> RiskNeutralModel:

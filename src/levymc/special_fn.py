@@ -1,12 +1,12 @@
-"""Numerical kernels: modified Bessel K, log-gamma, adaptive quadrature, root finding.
+"""Numerical kernels: modified Bessel K, log-gamma and adaptive quadrature.
 
 These wrap the battle-tested SciPy routines behind the small, explicit
 contracts the rest of the library relies on (error signalling instead of
 silent bad values, controlled tail truncation for semi-infinite integrals).
 
-Only the ``scipy`` package is imported here; its ``integrate``, ``optimize``
-and ``special`` submodules load on their first use, so importing levymc, or
-pricing by Monte Carlo alone, never loads them.
+Only the ``scipy`` package is imported here; its ``integrate`` and ``special``
+submodules load on their first use, so importing levymc, or pricing by Monte
+Carlo alone, never loads them.
 """
 from __future__ import annotations
 
@@ -21,11 +21,9 @@ import scipy
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "BracketError",
     "bessel_k",
     "log_gamma",
     "integrate",
-    "find_root",
 ]
 
 # kv underflows to 0 around x ~ 705 where exp(-x) leaves double range
@@ -34,10 +32,6 @@ _BESSEL_UNDERFLOW_X = 700.0
 
 class QuadratureError(RuntimeError):
     """Raised when an integral estimate cannot be trusted at the requested tolerance."""
-
-
-class BracketError(ValueError):
-    """Raised when a root bracket does not enclose a sign change."""
 
 
 @dataclass(frozen=True)
@@ -167,25 +161,3 @@ def integrate(f: Callable[[float], float], lower: float, upper: float, spec: Qua
         f"semi-infinite tail from {lower} did not decay below the truncation "
         f"threshold within {spec.max_subdivisions} doubling panels"
     )
-
-
-def find_root(f: Callable[[float], float], bracket_lo: float, bracket_hi: float, tol: float = 1e-12) -> float:
-    """Brent root solve on a bracketing interval.
-
-    Requires f(bracket_lo) and f(bracket_hi) to have opposite (or zero) sign;
-    the result is guaranteed to lie inside the initial bracket.
-    """
-    if not bracket_lo < bracket_hi:
-        raise BracketError(f"empty bracket [{bracket_lo}, {bracket_hi}]")
-    f_lo, f_hi = f(bracket_lo), f(bracket_hi)
-    if f_lo == 0.0:
-        return bracket_lo
-    if f_hi == 0.0:
-        return bracket_hi
-    if f_lo * f_hi > 0:
-        raise BracketError(
-            f"no sign change on [{bracket_lo}, {bracket_hi}]: "
-            f"f(lo)={f_lo:g}, f(hi)={f_hi:g}"
-        )
-    root = scipy.optimize.brentq(f, bracket_lo, bracket_hi, xtol=tol, rtol=8.9e-16)
-    return min(max(root, bracket_lo), bracket_hi)

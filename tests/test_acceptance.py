@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
 
 from levymc.cli import main
 from levymc.levy_models import (
@@ -24,9 +25,7 @@ from levymc.measures import (
     ESSCHER,
     MEAN_CORRECT,
     MarketData,
-    esscher_theta,
     nig_esscher,
-    nig_esscher_bracket,
     risk_neutralize,
     vg_esscher,
 )
@@ -206,7 +205,10 @@ def test_criterion_7_measure_identities():
     ok_resid = abs(sol_nig.residual) <= 1e-10 and abs(sol_vg.residual) <= 1e-10
 
     # closed form vs root solve
-    theta_num = esscher_theta(lambda t: nig_cumulant(NIG_BENCH, t), 0.0, nig_esscher_bracket(NIG_BENCH))
+    theta_num = brentq(
+        lambda t: nig_cumulant(NIG_BENCH, t + 1.0) - nig_cumulant(NIG_BENCH, t), -50.0, 50.0,
+        xtol=1e-12, rtol=8.9e-16,
+    )
     ok_root = abs(sol_nig.theta_star - theta_num) <= 1e-8
 
     # jump-density tilt identity

@@ -532,8 +532,8 @@ def test_market_data_helper():
 
 
 def test_monte_carlo_pricing_leaves_scipy_submodules_unloaded():
-    # scipy's integrate, optimize and special load on first use; only the NIG
-    # closed form (a European Esscher row) reaches them
+    # scipy's integrate and special load on first use, and only the NIG closed
+    # form (a European Esscher row) reaches them; no library code uses optimize
     code = """
 import sys
 from dataclasses import replace

@@ -1,4 +1,4 @@
-"""Distributional checks for the NIG, gamma and VG building blocks.
+"""Distributional checks for the NIG and VG building blocks.
 
 Quadrature of the implemented densities is the oracle for normalization,
 moments and exponential moments; algebraic identities are checked directly.
@@ -13,12 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levymc.levy_models import (
-    GammaParams,
     NigParams,
     VgMeanVarianceParams,
     VgParams,
     cumulant,
-    gamma_density,
     nig_cumulant,
     nig_density,
     nig_levy_density,
@@ -48,8 +46,6 @@ def test_nig_params_validation():
         VgParams(x0=0.0, lam=0.0, gamma_rate=1.0, beta=0.0, sigma=1.0)
     with pytest.raises(ValueError):
         VgMeanVarianceParams(beta=0.0, sigma=1.0, nu=-0.3)
-    with pytest.raises(ValueError):
-        GammaParams(lam=1.0, gamma_rate=0.0)
 
 
 def test_nig_density_symmetric_case_is_even():
@@ -159,21 +155,6 @@ def test_nig_levy_density_small_jump_divergence():
     p = NigParams(alpha=4.0, beta=1.0, mu=0.0, delta=1.2)
     x = 1e-7
     assert x * x * nig_levy_density(p, x) == pytest.approx(1.2 / math.pi, rel=1e-6)
-
-
-def test_gamma_density_exponential_case():
-    g = GammaParams(lam=1.0, gamma_rate=1.0)
-    assert gamma_density(g, 1.0, t=1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        gamma_density(g, 0.0, t=1.0)
-
-
-def test_gamma_density_mean_and_normalization():
-    g = GammaParams(lam=1.0 / 0.3, gamma_rate=1.0 / 0.3)
-    total = integrate(lambda x: gamma_density(g, x, 1.0), 1e-300, math.inf)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    mean = integrate(lambda x: x * gamma_density(g, x, 1.0), 1e-300, math.inf)
-    assert mean == pytest.approx(1.0, abs=1e-9)  # lam*t/gamma_rate
 
 
 def test_vg_cumulant_zero_and_reduction():

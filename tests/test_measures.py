@@ -1,11 +1,13 @@
 """Risk-neutral measure construction: Esscher tilts, drift corrections, martingale checks."""
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from levymc.levy_models import (
     NigParams,
@@ -22,9 +24,7 @@ from levymc.measures import (
     MEAN_CORRECT,
     MarketData,
     MeasureExistenceError,
-    esscher_theta,
     nig_esscher,
-    nig_esscher_bracket,
     risk_neutralize,
     vg_esscher,
 )
@@ -36,31 +36,21 @@ MARKET = MarketData(s0=36.0, r=0.1, T=1.0 / 12.0)
 VG_CLOCK = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
 
 
-def test_esscher_theta_quadratic_cumulant():
-    # kappa(t) = t^2/2 gives kappa(t+1) - kappa(t) = t + 1/2, so theta* = c - 1/2
-    for target in [0.0, 0.1, -0.4]:
-        theta = esscher_theta(lambda t: 0.5 * t * t, target, (-10.0, 10.0))
-        assert theta == pytest.approx(target - 0.5, abs=1e-11)
-
-
-def test_esscher_theta_reports_missing_sign_change():
-    with pytest.raises(MeasureExistenceError):
-        esscher_theta(lambda t: 0.5 * t * t, 100.0, (-2.0, 2.0))
-
-
 def test_nig_esscher_closed_form_matches_root_solve():
-    # the target=r tilt sits near the edge of the cumulant domain, hence the wide span
-    for target in [0.0, MARKET.r]:
-        sol = nig_esscher(NIG_BENCH, target=target)
-        theta_num = esscher_theta(
-            lambda t: nig_cumulant(NIG_BENCH, t), target, nig_esscher_bracket(NIG_BENCH, span=80.0)
+    # the mu - r tilt sits near the edge of the cumulant domain, hence the wide bracket, whose
+    # upper end keeps theta + 1 inside |beta + .| <= alpha
+    for p in [NIG_BENCH, replace(NIG_BENCH, mu=NIG_BENCH.mu - MARKET.r)]:
+        sol = nig_esscher(p)
+        theta_num = brentq(
+            lambda t: nig_cumulant(p, t + 1.0) - nig_cumulant(p, t), -80.0, p.alpha - p.beta - 1.0 - 1e-9,
+            xtol=1e-12, rtol=8.9e-16,
         )
         assert sol.theta_star == pytest.approx(theta_num, abs=1e-8)
         assert abs(sol.residual) <= 1e-10
 
 
 def test_nig_esscher_frozen_tilt():
-    # root-solve oracle value for the benchmark calibration at target 0
+    # root-solve oracle value for the benchmark calibration
     sol = nig_esscher(NIG_BENCH)
     assert sol.risk_neutral_params.beta == pytest.approx(0.47435883413573066, abs=1e-10)
     assert sol.risk_neutral_params == NigParams(81.6, sol.risk_neutral_params.beta, -0.000123, 0.0103)
@@ -68,18 +58,15 @@ def test_nig_esscher_frozen_tilt():
 
 def test_nig_esscher_degenerate_drift_gives_minus_half():
     p = NigParams(alpha=5.0, beta=1.0, mu=0.0, delta=0.8)
-    sol = nig_esscher(p, target=0.0)
+    sol = nig_esscher(p)
     assert sol.risk_neutral_params.beta == pytest.approx(-0.5, abs=1e-14)
-    p2 = NigParams(alpha=5.0, beta=1.0, mu=0.07, delta=0.8)
-    sol2 = nig_esscher(p2, target=0.07)
-    assert sol2.risk_neutral_params.beta == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_nig_esscher_nonexistence():
     # drift gap too wide for the tilted root to stay real
-    p = NigParams(alpha=1.1, beta=0.0, mu=0.0, delta=0.01)
+    p = NigParams(alpha=1.1, beta=0.0, mu=-1.0, delta=0.01)
     with pytest.raises(MeasureExistenceError):
-        nig_esscher(p, target=1.0)
+        nig_esscher(p)
 
 
 def test_nig_esscher_levy_density_tilt_identity():
@@ -122,7 +109,7 @@ def test_vg_esscher_matches_root_solve():
     p = VgParams(x0=1e-8, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=1.0)
     sol = vg_esscher(p)
     # cumulant domain: beta*t + t^2/2 < gamma for t and t+1
-    theta_num = esscher_theta(lambda t: vg_cumulant(p, t), 0.0, (-1.41, 0.41))
+    theta_num = brentq(lambda t: vg_cumulant(p, t + 1.0) - vg_cumulant(p, t), -1.41, 0.41, xtol=1e-12, rtol=8.9e-16)
     assert sol.theta_star == pytest.approx(theta_num, abs=1e-8)
     assert abs(vg_cumulant(p, sol.theta_star + 1.0) - vg_cumulant(p, sol.theta_star)) <= 1e-8
 
@@ -206,15 +193,17 @@ def test_vg_esscher_matches_bracketed_root_solve(sigma, nu, beta, x0):
     # there; test_vg_esscher_exists_next_to_the_boundary covers that region.
     assume(abs(width) > 1e-4 * (t_hi - t_lo))
     lo, hi = t_lo + 1e-9 * width, t_hi - 1.0 - 1e-9 * width
-    try:
-        theta_num = esscher_theta(lambda t: vg_cumulant(p, t), 0.0, (lo, hi)) if lo < hi else None
-    except MeasureExistenceError:
-        theta_num = None
-    if theta_num is None:
+
+    def excess_return(t):
+        return vg_cumulant(p, t + 1.0) - vg_cumulant(p, t)
+
+    # no sign change on the bracket: the tilt does not exist
+    if not lo < hi or excess_return(lo) * excess_return(hi) > 0:
         with pytest.raises(MeasureExistenceError):
             vg_esscher(p)
     else:
         sol = vg_esscher(p)
+        theta_num = brentq(excess_return, lo, hi, xtol=1e-12, rtol=8.9e-16)
         assert sol.theta_star == pytest.approx(theta_num, abs=1e-8)
         assert abs(sol.residual) <= 1e-10
 
@@ -304,7 +293,7 @@ def test_risk_neutralize_nig_esscher_fields():
     assert rnm.measure == ESSCHER
     assert rnm.omega == 0.0
     assert rnm.model.beta == pytest.approx(0.47435883413573066, abs=1e-10)
-    # target 0 tilt: the tilted cumulant at 1 vanishes, so the drift is r itself
+    # the tilted cumulant at 1 vanishes, so the drift is r itself
     assert rnm.drift_rate == pytest.approx(MARKET.r, abs=1e-12)
     assert rnm.esscher is not None and abs(rnm.esscher.residual) <= 1e-10
 

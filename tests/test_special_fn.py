@@ -1,4 +1,4 @@
-"""Numerical kernel checks: Bessel K, log-gamma, quadrature, root finding."""
+"""Numerical kernel checks: Bessel K, log-gamma, quadrature."""
 import math
 
 import numpy as np
@@ -7,11 +7,9 @@ from scipy.integrate import quad as scipy_quad
 
 from levymc.levy_models import NigParams, nig_density
 from levymc.special_fn import (
-    BracketError,
     QuadratureError,
     QuadratureSpec,
     bessel_k,
-    find_root,
     integrate,
     log_bessel_k,
     log_gamma,
@@ -145,29 +143,6 @@ def test_integrate_reports_nonconvergence():
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=1, tail_truncation_mass=1e-12)
     with pytest.raises(QuadratureError):
         integrate(lambda x: x**-0.9, 1e-12, 1.0, spec)
-
-
-def test_find_root_linear():
-    assert find_root(lambda x: x - 3.0, 0.0, 10.0) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_find_root_sqrt_two():
-    root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-
-def test_find_root_rejects_bad_bracket():
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(BracketError):
-        find_root(lambda x: x, 2.0, 1.0)
-
-
-def test_find_root_stays_inside_bracket():
-    lo, hi = 1.0, 4.0
-    root = find_root(lambda x: math.cos(x), lo, hi)
-    assert lo <= root <= hi
-    assert root == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
 def test_bessel_k_vectorized():
