@@ -3,8 +3,8 @@
 The library builds risk-neutral measures two ways (Esscher tilt and
 mean-correcting drift), simulates price paths with exact per-step marginals,
 and prices by discounted Monte Carlo with confidence intervals.  A NIG
-European closed form based on tail probabilities serves as the validation
-benchmark for the simulator.
+European closed form, one quadrature of the call payoff against the Esscher
+density, serves as the validation benchmark for the simulator.
 """
 from .levy_models import (
     NigParams,
@@ -36,7 +36,6 @@ from .pricing import (
     McResult,
     Payoff,
     european_call_nig_closed,
-    nig_tail_probability,
     price_mc,
 )
 from .sampling import (
@@ -79,7 +78,6 @@ __all__ = [
     "nig_density",
     "nig_esscher",
     "nig_levy_density",
-    "nig_tail_probability",
     "price_mc",
     "risk_neutralize",
     "sample_gamma",

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,6 @@ __all__ = [
     "Payoff",
     "McResult",
     "price_mc",
-    "nig_tail_probability",
     "european_call_nig_closed",
     "EUROPEAN_CALL",
     "ASIAN_CALL",
@@ -106,52 +105,46 @@ def price_mc(
     return McResult.from_discounted_payoffs(discounted, seed)
 
 
-def nig_tail_probability(p: NigParams, t: float, x: float) -> float:
-    """P(X_t > x) for the NIG increment over horizon t, by quadrature of the density.
-
-    The density is integrated in u = (y - mu*t)/(delta*t): there its peak is
-    at most about one unit wide, where in y it is a spike delta*t wide, so the
-    quadrature panels start on the peak's own scale.  Below the mean the
-    lower tail is integrated and subtracted from one, so no integral runs
-    through the peak.
-    """
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    mu_t, delta_t = p.mu * t, p.delta * t
-
-    def density_u(u: float) -> float:
-        return delta_t * nig_density(p, mu_t + delta_t * u, t)
-
-    u = (x - mu_t) / delta_t
-    if x >= nig_mean_rate(p) * t:
-        value = integrate(density_u, u, math.inf, _TAIL_QUAD)
-    else:
-        value = 1.0 - integrate(density_u, -math.inf, u, _TAIL_QUAD)
-    return min(max(value, 0.0), 1.0)
-
-
 def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) -> float:
-    """European call under the NIG Esscher measure, via two tail probabilities.
+    """European call under the NIG Esscher measure, as one payoff integral.
 
-    C0 = S0 * P1 - exp(-r*T) * K * P2 with both tails taken from
-    log(K/S0) - r*T: P1 under the tilt beta* + 1, P2 under beta*, each at
-    horizon T.  The discounting of the strike term and the -r*T shift in the
-    tail boundary are what make this identical (to quadrature accuracy) to the
-    Monte Carlo price under the same measure.
+    With f* the NIG(alpha, beta*, mu*T, delta*T) density, K' = exp(-r*T)*K and
+    b = log(K'/S0), C0 = integral over y > b of (S0*exp(y) - K') f*(y) dy: the
+    expectation of the discounted Monte Carlo payoff.  The tilt makes its
+    cumulant vanish at 1, so exp(y) f*(y) is f+(y), the beta* + 1 density
+    (Gerber & Shiu 1994).  The integral runs in u = (y - mu*T)/(delta*T), on
+    the peak's scale, over the side away from the peak: above the mean
+    C0 = S0 * integral over y > b of -expm1(b - y) f+(y), below it
+    C0 = (S0 - K') + K' * integral over y < b of -expm1(y - b) f*(y), the put.
+    Each integrand is a density times a factor in [0, 1], so nothing
+    overflows, and f+ keeps its tail where f* alone has underflowed.
     """
     if strike < 0:
         raise ValueError(f"strike must be >= 0, got {strike}")
     if strike == 0.0:
         return market.s0
-    sol = nig_esscher(p)
-    beta_star = sol.risk_neutral_params.beta
-    if not abs(beta_star + 1.0) < p.alpha:
+    tilt = nig_esscher(p).risk_neutral_params
+    if not abs(tilt.beta + 1.0) < p.alpha:
         raise MeasureExistenceError(
-            f"closed form undefined: |beta* + 1| = {abs(beta_star + 1.0):g} reaches alpha = {p.alpha:g}"
+            f"closed form undefined: |beta* + 1| = {abs(tilt.beta + 1.0):g} reaches alpha = {p.alpha:g}"
         )
-    boundary = math.log(strike / market.s0) - market.r * market.T
-    tilt_up = NigParams(alpha=p.alpha, beta=beta_star + 1.0, mu=p.mu, delta=p.delta)
-    tilt = sol.risk_neutral_params
-    p1 = nig_tail_probability(tilt_up, market.T, boundary)
-    p2 = nig_tail_probability(tilt, market.T, boundary)
-    return market.s0 * p1 - math.exp(-market.r * market.T) * strike * p2
+    T = market.T
+    discounted_strike = math.exp(-market.r * T) * strike
+    # log(K'/S0), finite where K' or K/S0 underflows
+    boundary = math.log(strike) - math.log(market.s0) - market.r * T
+    mu_t, delta_t = p.mu * T, p.delta * T
+    u = (boundary - mu_t) / delta_t
+    if boundary >= nig_mean_rate(tilt) * T:
+        tilt_up = replace(tilt, beta=tilt.beta + 1.0)
+
+        def call_u(v: float) -> float:
+            y = mu_t + delta_t * v
+            return -math.expm1(boundary - y) * delta_t * nig_density(tilt_up, y, T)
+
+        return market.s0 * integrate(call_u, u, math.inf, _TAIL_QUAD)
+
+    def put_u(v: float) -> float:
+        y = mu_t + delta_t * v
+        return -math.expm1(y - boundary) * delta_t * nig_density(tilt, y, T)
+
+    return (market.s0 - discounted_strike) + discounted_strike * integrate(put_u, -math.inf, u, _TAIL_QUAD)

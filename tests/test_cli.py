@@ -485,7 +485,8 @@ def test_closed_form_quadrature_failure_leaves_column_empty(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("s0", [1e50, 1e300])
 def test_closed_form_prices_deep_in_the_money(monkeypatch, s0):
-    # both tail probabilities are 1 in double precision, so the call is worth s0 - exp(-rT) K
+    # every density value below the boundary is 0 in double precision, so the put term
+    # vanishes and the call is worth s0 - exp(-rT) K
     closed_form = cli.european_call_nig_closed
 
     def warnings_are_errors(*args):

@@ -13,8 +13,8 @@ from levymc.pricing import (
     EUROPEAN_CALL,
     McResult,
     Payoff,
+    _TAIL_QUAD,
     european_call_nig_closed,
-    nig_tail_probability,
     price_mc,
 )
 from levymc.sampling import PathGrid, PathSet, simulate_paths
@@ -108,22 +108,99 @@ def test_price_mc_matches_published_estimate_band():
     assert result.ci_hi >= 2.227 - 0.07
 
 
+def _strike_at(boundary: float, market: MarketData) -> float:
+    """The strike whose call boundary log(exp(-r*T)*K/S0) is ``boundary``."""
+    return market.s0 * math.exp(boundary + market.r * market.T)
+
+
+def _two_tail_price(p: NigParams, market: MarketData, strike: float) -> float:
+    """S0*P1 - exp(-r*T)*K*P2, each tail integrated in x itself, through the density's peak.
+
+    P1 is taken under the Esscher tilt beta* + 1 and P2 under beta*, both from
+    log(K/S0) - r*T: the closed form's definition, by independent quadrature.
+    """
+    tilt = nig_esscher(p).risk_neutral_params
+    tilt_up = NigParams(alpha=p.alpha, beta=tilt.beta + 1.0, mu=p.mu, delta=p.delta)
+    t = market.T
+    x = math.log(strike / market.s0) - market.r * t
+    p1 = integrate(lambda y: nig_density(tilt_up, y, t), x, math.inf)
+    p2 = integrate(lambda y: nig_density(tilt, y, t), x, math.inf)
+    return market.s0 * p1 - math.exp(-market.r * t) * strike * p2
+
+
 def test_nig_tail_probability_limits():
-    assert nig_tail_probability(NIG_BENCH, 1.0 / 12.0, -50.0) == pytest.approx(1.0, abs=1e-8)
-    symmetric = NigParams(alpha=5.0, beta=0.0, mu=0.0, delta=1.0)
-    assert nig_tail_probability(symmetric, 1.0, 0.0) == pytest.approx(0.5, abs=1e-8)
+    # the closed form's limits: both tail probabilities are 1 at a boundary 50 below
+    # the mean, so C = S0 - exp(-rT) K, and both are 0 at a boundary 50 above it
+    itm = _strike_at(-50.0, MARKET)
+    closed = european_call_nig_closed(NIG_BENCH, MARKET, itm)
+    assert closed == pytest.approx(MARKET.s0 - math.exp(-MARKET.r * MARKET.T) * itm, abs=1e-8 * (MARKET.s0 + itm))
+    otm = _strike_at(50.0, MARKET)
+    assert european_call_nig_closed(NIG_BENCH, MARKET, otm) == pytest.approx(0.0, abs=1e-8 * (MARKET.s0 + otm))
 
 
 @pytest.mark.parametrize("params", [NIG_BENCH, NIG_ESSCHER, NIG_ESSCHER_UP], ids=["physical", "esscher", "esscher_up"])
 @pytest.mark.parametrize("t", [1.0 / 365.0, 1.0 / 52.0, 1.0, 5.0])
 def test_nig_tail_probability_matches_direct_quadrature(params, t):
-    # the reference integrates the density in x itself, through its peak, from x to infinity
+    # the closed form at boundaries z standard deviations from each density's mean,
+    # against its two tail probabilities integrated directly in x
+    market = MarketData(s0=MARKET.s0, r=MARKET.r, T=t)
     mean = nig_mean_rate(params) * t
     sd = math.sqrt(params.delta * params.alpha**2 / params.gamma_bar**3 * t)
     for z in (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0):
-        x = mean + z * sd
-        direct = integrate(lambda y: nig_density(params, y, t), x, math.inf)
-        assert nig_tail_probability(params, t, x) == pytest.approx(direct, abs=1e-12), (t, z)
+        strike = _strike_at(mean + z * sd, market)
+        closed = european_call_nig_closed(NIG_BENCH, market, strike)
+        direct = _two_tail_price(NIG_BENCH, market, strike)
+        assert closed == pytest.approx(direct, abs=1e-12 * (market.s0 + strike)), (t, z)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_heavy_right_tail_matches_direct_quadrature():
+    # alpha - beta* = 1.014: exp(y) f*(y) decays like exp(-0.014 y), so the call's
+    # mass reaches y ~ 700, past where f* alone is subnormal and exp(y) overflows
+    p = NigParams(alpha=2.0, beta=0.0, mu=-1.5, delta=1.0)
+    assert 1.0 < p.alpha - nig_esscher(p).risk_neutral_params.beta < 1.02
+    market = MarketData(s0=1.0, r=0.0, T=1.0)
+    for strike in (1.0, 3.0, 20.0):
+        closed = european_call_nig_closed(p, market, strike)
+        direct = _two_tail_price(p, market, strike)
+        assert closed == pytest.approx(direct, abs=1e-12 * (market.s0 + strike)), strike
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s0", [1e-200, 1e-5])
+@pytest.mark.parametrize("t", [1.0 / 365.0, 1.0, 5.0])
+def test_closed_form_deep_out_of_the_money_is_zero(s0, t):
+    # the boundary log(exp(-rT) K/S0) lies where every density value is 0,
+    # however large exp(y) is there
+    assert european_call_nig_closed(NIG_BENCH, MarketData(s0=s0, r=0.1, T=t), 34.0) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_strike_far_below_spot():
+    # K/S0 = 1e-330 underflows to 0, where log K - log S0 does not
+    market = MarketData(s0=1e300, r=0.1, T=1.0)
+    assert european_call_nig_closed(NIG_BENCH, market, 1e-30) == 1e300 - math.exp(-0.1) * 1e-30
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s0=st.floats(1e-2, 1e4),
+    r=st.floats(-0.05, 0.2),
+    t=st.floats(1.0 / 365.0, 5.0),
+    moneyness=st.floats(0.2, 5.0),
+    step=st.floats(1.01, 2.0),
+)
+def test_closed_form_no_arbitrage_bounds(s0, r, t, moneyness, step):
+    # max(S0 - exp(-rT) K, 0) <= C <= S0 up to the quadrature's relative tolerance,
+    # and C falls as K rises
+    market = MarketData(s0=s0, r=r, T=t)
+    strike = moneyness * s0
+    closed = european_call_nig_closed(NIG_BENCH, market, strike)
+    slack = _TAIL_QUAD.rel_tol * s0
+    assert max(s0 - math.exp(-r * t) * strike, 0.0) - slack <= closed <= s0 + slack
+    higher = european_call_nig_closed(NIG_BENCH, market, step * strike)
+    assert higher <= closed
+    assert higher < closed or closed == 0.0
 
 
 def test_closed_form_zero_strike_is_spot():
