@@ -37,6 +37,7 @@ from .pricing import (
     Payoff,
     european_call_nig_closed,
     price_mc,
+    price_paths,
 )
 from .sampling import (
     PathGrid,
@@ -47,7 +48,7 @@ from .sampling import (
     sample_standard_normal,
     simulate_paths,
 )
-from .special_fn import QuadratureSpec, bessel_k, integrate, log_gamma
+from .special_fn import QuadratureSpec, integrate, log_gamma
 
 __version__ = "0.1.0"
 
@@ -69,7 +70,6 @@ __all__ = [
     "RngStream",
     "VgMeanVarianceParams",
     "VgParams",
-    "bessel_k",
     "cumulant",
     "european_call_nig_closed",
     "integrate",
@@ -79,6 +79,7 @@ __all__ = [
     "nig_esscher",
     "nig_levy_density",
     "price_mc",
+    "price_paths",
     "risk_neutralize",
     "sample_gamma",
     "sample_inverse_gaussian",

@@ -26,8 +26,8 @@ from typing import Sequence, Union
 
 from .levy_models import NigParams, VgMeanVarianceParams, VgParams
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
-from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, Payoff, european_call_nig_closed
-from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, PathSet, simulate_paths
+from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, european_call_nig_closed, price_paths
+from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, simulate_paths
 from .special_fn import QuadratureError
 
 __all__ = [
@@ -285,12 +285,18 @@ def _configs(docs: Sequence, flags: dict) -> list[RunConfig]:
     return [config_from_dict({**doc, **flags} if isinstance(doc, dict) else doc) for doc in docs]
 
 
-def _row(cfg: RunConfig, measure: str, scheme: str, strike: float, status: str,
-         result: McResult | None = None, closed_form: float | None = None) -> ResultRow:
-    """One (measure, scheme, strike) cell; without a result its price columns stay empty."""
-    price, std_error, ci_lo, ci_hi = (
-        (None,) * 4 if result is None else (result.estimate, result.std_error, result.ci_lo, result.ci_hi)
-    )
+def _row(cfg: RunConfig, measure: str, scheme: str, strike: float, outcome: McResult | str,
+         closed_form: float | None = None) -> ResultRow:
+    """One (measure, scheme, strike) cell from its result, or from its failure status with empty price columns.
+
+    A result whose price, SE or CI is not finite gets the status ``non-finite result``.
+    """
+    if isinstance(outcome, str):
+        status, values = outcome, (None,) * 4
+    else:
+        values = (outcome.estimate, outcome.std_error, outcome.ci_lo, outcome.ci_hi)
+        status = "ok" if all(map(math.isfinite, values)) else "non-finite result"
+    price, std_error, ci_lo, ci_hi = values
     return ResultRow(
         model=cfg.model, measure=measure, scheme=scheme, payoff=cfg.payoff_kind,
         s0=cfg.market.s0, strike=strike, r=cfg.market.r, maturity=cfg.market.T,
@@ -300,34 +306,19 @@ def _row(cfg: RunConfig, measure: str, scheme: str, strike: float, status: str,
     )
 
 
-def _priced_rows(cfg: RunConfig, measure: str, scheme: str, paths: PathSet, discount: float,
-                 closed: dict[float, float]) -> list[ResultRow]:
-    """Every strike's row from one (measure, scheme)'s paths."""
-    rows = []
-    for strike in cfg.strikes:
-        payoffs = Payoff(cfg.payoff_kind, strike).evaluate(paths)
-        payoffs *= discount
-        result = McResult.from_discounted_payoffs(payoffs, cfg.seed)
-        del payoffs  # free this n-vector before the next strike's evaluate allocates one
-        finite = all(map(math.isfinite, (result.estimate, result.std_error, result.ci_lo, result.ci_hi)))
-        rows.append(_row(
-            cfg, measure, scheme, strike, "ok" if finite else "non-finite result",
-            result, closed.get(strike) if measure == ESSCHER else None,
-        ))
-    return rows
-
-
 def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     """Price every requested (measure x scheme x strike) cell.
 
     Paths are simulated per (measure, scheme), each reduced to its terminal
-    spot and average, and reused across strikes (common random numbers), so
-    prices are comparable across strikes and the whole table is deterministic
-    for a fixed seed.  Every measure that exists is simulated in one call per
-    scheme: the Esscher tilt moves neither delta nor lambda, so both measures'
-    draws are equal under every scheme (``simulate_paths`` raises if they
-    differ), and each block draws its variates once and every measure builds
-    its paths from them, bit for bit the paths it would get alone.  European
+    spot and average, and priced at every strike by ``price_paths``, the
+    pipeline ``price_mc`` runs too: the strikes reuse the paths (common
+    random numbers), so prices are comparable across strikes and the whole
+    table is deterministic for a fixed seed.  Every measure that exists is
+    simulated in one call per scheme: the Esscher tilt moves neither delta
+    nor lambda, so both measures' draws are equal under every scheme
+    (``simulate_paths`` raises if they differ), and each block draws its
+    variates once and every measure builds its paths from them, bit for bit
+    the paths it would get alone.  European
     rows simulate one step of length T; Asian rows simulate the config's
     ``s`` monitoring steps.  A measure that fails to exist, or a non-finite
     price, SE or CI, yields a row whose status says so.  Rows come in
@@ -360,7 +351,11 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
         )
         for measure in models:
             # popped, so each measure's two n-vectors are freed once its strikes are priced
-            cells[measure, scheme] = _priced_rows(cfg, measure, scheme, path_sets.pop(0), discount, closed)
+            results = price_paths(path_sets.pop(0), cfg.payoff_kind, cfg.strikes, discount, cfg.seed)
+            cells[measure, scheme] = [
+                _row(cfg, measure, scheme, k, result, closed.get(k) if measure == ESSCHER else None)
+                for k, result in zip(cfg.strikes, results)
+            ]
     return [row for measure in cfg.measures for scheme in cfg.schemes for row in cells[measure, scheme]]
 
 

@@ -50,10 +50,12 @@ class MarketData:
     T: float
 
     def __post_init__(self) -> None:
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be > 0, got {self.s0}")
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0 < self.s0 < math.inf:
+            raise ValueError(f"s0 must be finite and > 0, got {self.s0}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
 
 
 @dataclass(frozen=True)

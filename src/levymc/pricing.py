@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .special_fn import QuadratureSpec, integrate
 __all__ = [
     "Payoff",
     "McResult",
+    "price_paths",
     "price_mc",
     "european_call_nig_closed",
     "EUROPEAN_CALL",
@@ -36,7 +38,7 @@ class Payoff:
     def __post_init__(self) -> None:
         if self.kind not in (EUROPEAN_CALL, ASIAN_CALL):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.strike < 0:
+        if not self.strike >= 0:
             raise ValueError(f"strike must be >= 0, got {self.strike}")
 
     def evaluate(self, paths: PathSet) -> np.ndarray:
@@ -85,6 +87,24 @@ class McResult:
         )
 
 
+def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], discount: float,
+                seed: int) -> list[McResult]:
+    """Each strike's discounted Monte Carlo result from one set of paths, in strike order.
+
+    The one place where payoffs are evaluated, discounted in place by
+    ``discount`` and reduced.  Every strike reads the same paths (common
+    random numbers), and each strike's payoff n-vector is freed before the
+    next strike's is allocated.
+    """
+    results = []
+    for strike in strikes:
+        discounted = Payoff(payoff_kind, strike).evaluate(paths)
+        discounted *= discount
+        results.append(McResult.from_discounted_payoffs(discounted, seed))
+        del discounted  # free this n-vector before the next strike's evaluate allocates one
+    return results
+
+
 def price_mc(
     rnm: RiskNeutralModel,
     payoff: Payoff,
@@ -96,13 +116,14 @@ def price_mc(
 ) -> McResult:
     """Discounted Monte Carlo price: exp(-r*T) times the mean simulated payoff.
 
-    Deterministic for a fixed seed regardless of worker count.  The payoff
-    reads each path's terminal spot or average; no path is stored.
+    ``simulate_paths`` then ``price_paths`` for the one strike, the pipeline
+    of every CLI row, so a cell's result is bit for bit the matching
+    ``run_experiment`` row's.  Deterministic for a fixed seed regardless of
+    worker count.  The payoff reads each path's terminal spot or average; no
+    path is stored.
     """
     paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
-    discounted = payoff.evaluate(paths)
-    discounted *= math.exp(-rnm.market.r * grid.maturity)
-    return McResult.from_discounted_payoffs(discounted, seed)
+    return price_paths(paths, payoff.kind, [payoff.strike], math.exp(-rnm.market.r * grid.maturity), seed)[0]
 
 
 def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) -> float:
@@ -119,8 +140,8 @@ def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) ->
     Each integrand is a density times a factor in [0, 1], so nothing
     overflows, and f+ keeps its tail where f* alone has underflowed.
     """
-    if strike < 0:
-        raise ValueError(f"strike must be >= 0, got {strike}")
+    if not 0 <= strike < math.inf:
+        raise ValueError(f"strike must be finite and >= 0, got {strike}")
     if strike == 0.0:
         return market.s0
     tilt = nig_esscher(p).risk_neutral_params

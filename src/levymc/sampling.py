@@ -23,8 +23,8 @@ Reproducibility model: every simulation consumes randomness through SFC64
 streams keyed by (seed, block index), one ``SeedSequence(seed,
 spawn_key=(block,))`` per block (``STREAM_LAYOUT``).  Paths are generated in
 fixed-size blocks; each block is reduced to its paths' terminal spots and
-averages, written into their block positions, so no (n_paths, s) matrix is
-ever held and the output is bit-identical across runs and across any number
+averages (each average sums its dates in date order), written into their
+block positions, so no (n_paths, s) matrix is ever held and the output is bit-identical across runs and across any number
 of workers.  The block size is a build constant; changing it changes the
 stream layout.
 """
@@ -71,9 +71,6 @@ BLOCK_SIZE = 16384
 #       vectorised trial of numpy's method plus a refill (_standard_gamma),
 #       and a dg step draws its two legs as one array of 2*count gammas.
 STREAM_LAYOUT = 4
-
-# Paths per slice when a block's spots are averaged; any value gives the same bits.
-_MEAN_ROWS = 1024
 
 
 def _generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -394,7 +391,8 @@ def simulate_paths(
     stream, one step at a time; every model assembles the step's variates
     and adds them to its running log spots, one row of its own (s, rows)
     buffer per step, which becomes s0 * exp(.) in place; its last row and its
-    per-path means go to the block's slice of that model's ``terminal`` and
+    column means, one ``np.mean`` over the dates that adds the rows in date
+    order, go to the block's slice of that model's ``terminal`` and
     ``average``.
     """
     models = [rnm] if isinstance(rnm, RiskNeutralModel) else list(rnm)
@@ -426,9 +424,7 @@ def simulate_paths(
             np.exp(block, out=block)
             block *= model.market.s0
             out.terminal[lo:hi] = block[-1]
-            # np.mean of (rows, s) copies of cache-sized slices sums each path in its own order
-            for c in range(0, hi - lo, _MEAN_ROWS):
-                np.mean(block[:, c:c + _MEAN_ROWS].T.copy(), axis=1, out=out.average[lo + c:lo + c + _MEAN_ROWS])
+            np.mean(block, axis=0, out=out.average[lo:hi])  # sums each path's dates in date order
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
         list(pool.map(run, spans))

@@ -1,4 +1,4 @@
-"""Numerical kernels: modified Bessel K, log-gamma and adaptive quadrature.
+"""Numerical kernels: log modified Bessel K, log-gamma and adaptive quadrature.
 
 These wrap the battle-tested SciPy routines behind the small, explicit
 contracts the rest of the library relies on (error signalling instead of
@@ -11,7 +11,6 @@ Carlo alone, never loads them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,13 +20,10 @@ import scipy
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "bessel_k",
+    "log_bessel_k",
     "log_gamma",
     "integrate",
 ]
-
-# kv underflows to 0 around x ~ 705 where exp(-x) leaves double range
-_BESSEL_UNDERFLOW_X = 700.0
 
 
 class QuadratureError(RuntimeError):
@@ -57,29 +53,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
         if not 0 < self.tail_truncation_mass <= self.rel_tol:
             raise ValueError("tail_truncation_mass must lie in (0, rel_tol]")
-
-
-def bessel_k(order: float, x):
-    """Modified Bessel function of the second kind K_order(x).
-
-    Accepts scalar or array ``x``; every entry must be > 0.  For arguments
-    past the exp(-x) underflow point the value is flushed to 0 and an
-    underflow RuntimeWarning is emitted.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("bessel_k requires x > 0")
-    out = scipy.special.kv(order, arr)
-    if np.any(arr > _BESSEL_UNDERFLOW_X):
-        warnings.warn(
-            f"bessel_k underflow for x > {_BESSEL_UNDERFLOW_X:g}; returning 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        out = np.where(arr > _BESSEL_UNDERFLOW_X, 0.0, out)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def log_bessel_k(order: float, x):

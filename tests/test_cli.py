@@ -23,6 +23,7 @@ from levymc.cli import (
     write_csv,
 )
 from levymc.measures import MarketData, risk_neutralize
+from levymc.pricing import Payoff, price_mc
 from levymc.sampling import BLOCK_SIZE, PathGrid, simulate_paths
 from levymc.special_fn import QuadratureError
 
@@ -190,6 +191,21 @@ def test_run_experiment_rows_equal_one_simulation_per_cell(doc, workers):
     rows = run_experiment(cfg)
     assert [(r.measure, r.scheme, r.strike, r.price, r.std_error) for r in rows] == _one_simulation_per_cell(cfg)
     assert all(r.status == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("doc, measure, grid", [
+    (NIG_ASIAN_BOTH_MEASURES, "esscher", PathGrid(1.0 / 12.0, 16)),
+    (NIG_ASIAN_BOTH_MEASURES, "mean_correct", PathGrid(1.0 / 12.0, 16)),
+    (dict(MINIMAL_NIG, strikes=[34.0, 36.0]), "esscher", PathGrid(1.0 / 12.0, 1)),
+], ids=["nig-asian-esscher", "nig-asian-mean-correct", "nig-european"])
+def test_price_mc_equals_the_run_experiment_row(doc, measure, grid):
+    # one pipeline behind both entry points: a cell's price_mc result is its row, bit for bit
+    cfg = parse_config(json.dumps(dict(doc, n_paths=BLOCK_SIZE + 5, workers=2)))
+    rnm = risk_neutralize(cfg.params, cfg.market, measure)
+    for row in (r for r in run_experiment(cfg) if r.measure == measure):
+        result = price_mc(rnm, Payoff(cfg.payoff_kind, row.strike), grid, cfg.n_paths, cfg.seed, scheme=row.scheme)
+        assert (result.estimate, result.std_error, result.ci_lo, result.ci_hi) == (
+            row.price, row.std_error, row.ci_lo, row.ci_hi)
 
 
 @pytest.mark.parametrize("doc, simulations", [
@@ -555,3 +571,16 @@ print(loaded())
     after_import, after_monte_carlo, after_closed_form = done.stdout.splitlines()
     assert after_import == after_monte_carlo == "[]"
     assert "'scipy.integrate'" in after_closed_form and "'scipy.special'" in after_closed_form
+
+
+def test_module_entry_point_prints_the_csv():
+    # python -m levymc runs the price command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "levymc", "--preset", "vg-lecuyer", "--paths", "2000", "--seed", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.reader(done.stdout.splitlines()))
+    assert rows[0] == CSV_HEADER
+    assert len(rows) == 2 and rows[1][-1] == "ok"

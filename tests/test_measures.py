@@ -336,3 +336,11 @@ def test_market_data_validation():
         MarketData(s0=0.0, r=0.1, T=1.0)
     with pytest.raises(ValueError):
         MarketData(s0=1.0, r=0.1, T=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["s0", "r", "T"])
+def test_market_data_rejects_non_finite_fields(field, value):
+    # a NaN fails no order comparison, so each field is checked for finiteness
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        MarketData(**{**dict(s0=36.0, r=0.05, T=1.0), field: value})

@@ -59,6 +59,13 @@ def test_payoff_validation():
         Payoff(EUROPEAN_CALL, -1.0)
 
 
+@pytest.mark.parametrize("kind", [EUROPEAN_CALL, ASIAN_CALL])
+@pytest.mark.parametrize("strike", [math.nan, -math.inf, -1e-300])
+def test_payoff_rejects_nan_and_negative_strikes(kind, strike):
+    with pytest.raises(ValueError, match="strike must be >= 0"):
+        Payoff(kind, strike)
+
+
 def test_mc_result_constant_payoffs():
     discount = math.exp(-MARKET.r * MARKET.T)
     result = McResult.from_discounted_payoffs(np.full(500, discount), seed=5)
@@ -201,6 +208,13 @@ def test_closed_form_no_arbitrage_bounds(s0, r, t, moneyness, step):
     higher = european_call_nig_closed(NIG_BENCH, market, step * strike)
     assert higher <= closed
     assert higher < closed or closed == 0.0
+
+
+@pytest.mark.parametrize("strike", [math.nan, math.inf, -math.inf, -1.0])
+def test_closed_form_rejects_non_finite_and_negative_strikes(strike):
+    # before any quadrature: a NaN or infinite strike has no integration bounds
+    with pytest.raises(ValueError, match="strike must be finite and >= 0"):
+        european_call_nig_closed(NIG_BENCH, MARKET, strike)
 
 
 def test_closed_form_zero_strike_is_spot():

@@ -1,5 +1,6 @@
 """Variate generators and path schemes: determinism, moments, marginal laws."""
 import cmath
+import functools
 import math
 import tracemalloc
 import warnings
@@ -416,7 +417,8 @@ def test_stream_layout_is_pinned(scheme, workers):
     # gammas, path normals; dg: 2*count gammas, up legs first), every gamma
     # of shape < 1 by one trial of numpy's method and a refill.  The walker's
     # per-block terminal spots and averages equal those of the full reference
-    # matrix bit for bit.  _LAYOUT_VG's gamma shapes are 1/4 and 1/16.
+    # matrix bit for bit, each average its dates summed in date order.
+    # _LAYOUT_VG's gamma shapes are 1/4 and 1/16.
     model, draws = _LAYOUT_CASES[scheme]
     rnm = RiskNeutralModel(
         model=model, measure="mean_correct", drift_rate=0.03, omega=0.0, market=MarketData(36.0, 0.0, 1.0),
@@ -434,7 +436,7 @@ def test_stream_layout_is_pinned(scheme, workers):
         paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
         assert paths.n_paths == n_paths
         assert np.array_equal(paths.terminal, expected[:, -1])
-        assert np.array_equal(paths.average, expected.mean(axis=1))
+        assert np.array_equal(paths.average, functools.reduce(np.add, expected.T) / n_steps)
 
 
 @pytest.mark.parametrize("measure", [ESSCHER, MEAN_CORRECT])
