@@ -351,7 +351,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
         )
         for measure in models:
             # popped, so each measure's two n-vectors are freed once its strikes are priced
-            results = price_paths(path_sets.pop(0), cfg.payoff_kind, cfg.strikes, discount, cfg.seed)
+            results = price_paths(path_sets.pop(0), cfg.payoff_kind, cfg.strikes, discount)
             cells[measure, scheme] = [
                 _row(cfg, measure, scheme, k, result, closed.get(k) if measure == ESSCHER else None)
                 for k, result in zip(cfg.strikes, results)

@@ -61,34 +61,33 @@ class McResult:
     ci_lo: float
     ci_hi: float
     n_paths: int
-    seed: int
 
     @classmethod
-    def from_discounted_payoffs(cls, discounted: np.ndarray, seed: int) -> "McResult":
+    def from_discounted_payoffs(cls, discounted: np.ndarray) -> "McResult":
         """The estimate, its standard error and 95% CI; overwrites ``discounted``.
 
         The sample standard deviation is ``np.std(ddof=1)``'s own operations
         done in place, so it is the same number without a second n-vector.
+        An overflow gives an inf or NaN result, no warning, for the row status to report.
         """
         n = len(discounted)
-        estimate = float(np.mean(discounted))
-        std_error = 0.0
-        if n > 1:
-            np.subtract(discounted, estimate, out=discounted)
-            np.square(discounted, out=discounted)
-            std_error = float(np.sqrt(np.sum(discounted) / (n - 1)) / math.sqrt(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate = float(np.mean(discounted))
+            std_error = 0.0
+            if n > 1:
+                np.subtract(discounted, estimate, out=discounted)
+                np.square(discounted, out=discounted)
+                std_error = float(np.sqrt(np.sum(discounted) / (n - 1)) / math.sqrt(n))
         return cls(
             estimate=estimate,
             std_error=std_error,
             ci_lo=estimate - 1.96 * std_error,
             ci_hi=estimate + 1.96 * std_error,
             n_paths=n,
-            seed=seed,
         )
 
 
-def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], discount: float,
-                seed: int) -> list[McResult]:
+def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], discount: float) -> list[McResult]:
     """Each strike's discounted Monte Carlo result from one set of paths, in strike order.
 
     The one place where payoffs are evaluated, discounted in place by
@@ -100,7 +99,7 @@ def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], disc
     for strike in strikes:
         discounted = Payoff(payoff_kind, strike).evaluate(paths)
         discounted *= discount
-        results.append(McResult.from_discounted_payoffs(discounted, seed))
+        results.append(McResult.from_discounted_payoffs(discounted))
         del discounted  # free this n-vector before the next strike's evaluate allocates one
     return results
 
@@ -123,7 +122,7 @@ def price_mc(
     path is stored.
     """
     paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
-    return price_paths(paths, payoff.kind, [payoff.strike], math.exp(-rnm.market.r * grid.maturity), seed)[0]
+    return price_paths(paths, payoff.kind, [payoff.strike], math.exp(-rnm.market.r * grid.maturity))[0]
 
 
 def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) -> float:

@@ -22,11 +22,11 @@ the down legs.  Every gamma comes from ``_standard_gamma``, which below shape
 Reproducibility model: every simulation consumes randomness through SFC64
 streams keyed by (seed, block index), one ``SeedSequence(seed,
 spawn_key=(block,))`` per block (``STREAM_LAYOUT``).  Paths are generated in
-fixed-size blocks; each block is reduced to its paths' terminal spots and
-averages (each average sums its dates in date order), written into their
-block positions, so no (n_paths, s) matrix is ever held and the output is bit-identical across runs and across any number
-of workers.  The block size is a build constant; changing it changes the
-stream layout.
+fixed-size blocks, and each path's terminal spot and average accumulate in
+their block positions step by step (each average sums its dates in date
+order), so no path is ever held and the output is bit-identical across runs
+and across any number of workers.  The block size is a build constant;
+changing it changes the stream layout.
 """
 from __future__ import annotations
 
@@ -194,8 +194,8 @@ class PathSet:
     """The two per-path statistics the payoffs read, not the paths themselves.
 
     ``terminal[i]`` is path i's spot at the maturity and ``average[i]`` its
-    arithmetic mean over the monitored dates t_1..t_s; both are reduced from
-    the path's block while the block is in cache.
+    arithmetic mean over the monitored dates t_1..t_s; both accumulate while
+    the path is simulated.
     """
 
     terminal: np.ndarray
@@ -388,12 +388,11 @@ def simulate_paths(
     bit for bit the one a one-model call would return.
 
     Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
-    stream, one step at a time; every model assembles the step's variates
-    and adds them to its running log spots, one row of its own (s, rows)
-    buffer per step, which becomes s0 * exp(.) in place; its last row and its
-    column means, one ``np.mean`` over the dates that adds the rows in date
-    order, go to the block's slice of that model's ``terminal`` and
-    ``average``.
+    stream, one step at a time.  Each model assembles the step into a scratch
+    vector, adds it to its running log spots, writes s0 * exp(.) of them to
+    its ``terminal`` slice and adds that to its ``average`` slice: the last
+    step leaves S_T, and each average sums its dates in date order, then is
+    divided by s.  No per-block state grows with s.
     """
     models = [rnm] if isinstance(rnm, RiskNeutralModel) else list(rnm)
     if not models:
@@ -405,27 +404,28 @@ def simulate_paths(
     if len({sampler.key for sampler in samplers}) > 1:
         raise ValueError(f"the models' {scheme!r} draws differ, so they cannot be shared")
     draw = samplers[0].draw
-    outs = [PathSet(terminal=np.empty(n_paths), average=np.empty(n_paths)) for _ in models]
+    outs = [PathSet(terminal=np.empty(n_paths), average=np.zeros(n_paths)) for _ in models]
     spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
     def run(span: tuple[int, int, int]) -> None:
         block_index, lo, hi = span
         gen = _generator(seed, block_index)
-        # per model, row j holds every path's log(S_{t_j}/s0), so each step writes one contiguous row
-        blocks = [np.empty((grid.n_steps, hi - lo)) for _ in models]
-        for j in range(grid.n_steps):
+        logs = [np.zeros(hi - lo) for _ in models]  # each path's log(S_{t_j}/s0)
+        step = np.empty(hi - lo)
+        for _ in range(grid.n_steps):
             variates = draw(gen, hi - lo)
-            for block, sampler in zip(blocks, samplers):
-                sampler.assemble(variates, block[j])
-                if j:
-                    block[j] += block[j - 1]  # the sum cumsum along a path makes
-        # in place and per block: only this block's paths are ever held, and the work runs on the pool
-        for block, model, out in zip(blocks, models, outs):
-            np.exp(block, out=block)
-            block *= model.market.s0
-            out.terminal[lo:hi] = block[-1]
-            np.mean(block, axis=0, out=out.average[lo:hi])  # sums each path's dates in date order
+            for log, sampler, model, out in zip(logs, samplers, models, outs):
+                sampler.assemble(variates, step)
+                log += step
+                spots = out.terminal[lo:hi]  # the last step leaves S_T here
+                # errstate is per thread: a spot past the float range is an inf the row status reports
+                with np.errstate(over="ignore"):
+                    np.exp(log, out=spots)
+                    spots *= model.market.s0
+                    out.average[lo:hi] += spots
 
     with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
         list(pool.map(run, spans))
+    for out in outs:
+        out.average /= grid.n_steps
     return outs[0] if isinstance(rnm, RiskNeutralModel) else outs

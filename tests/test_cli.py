@@ -236,8 +236,8 @@ def test_run_experiment_simulates_measures_together_only_when_their_draws_match(
     (VG_BOTH_MEASURES, ["bgss"], 2, 5),
 ], ids=["nig-asian", "vg-shared"])
 def test_run_experiment_memory_in_n_vectors(doc, schemes, models, vectors, workers):
-    # n-vectors of 8*n bytes, plus per worker each simulated model's
-    # (s, BLOCK_SIZE) buffer and a few block-length temporaries
+    # n-vectors of 8*n bytes, plus per worker each simulated model's running
+    # log spots and a few block-length temporaries
     n_paths, n_steps = 32 * BLOCK_SIZE, 4
     cfg = parse_config(json.dumps(dict(doc, scheme=schemes, s=n_steps, n_paths=n_paths, workers=workers)))
     tracemalloc.start()
@@ -455,6 +455,7 @@ def test_cli_vg_lecuyer_esscher_is_ok(capsys):
     assert len(out) == 2 and out[1].startswith("vg,esscher,bgss,") and out[1].endswith(",ok")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s0", [1e300, 1.7e308])
 def test_non_finite_result_is_not_ok(tmp_path, capsys, s0):
     # the payoffs overflow: a std_error (and at 1.7e308 a price) of inf is no result

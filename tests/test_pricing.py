@@ -68,10 +68,10 @@ def test_payoff_rejects_nan_and_negative_strikes(kind, strike):
 
 def test_mc_result_constant_payoffs():
     discount = math.exp(-MARKET.r * MARKET.T)
-    result = McResult.from_discounted_payoffs(np.full(500, discount), seed=5)
+    result = McResult.from_discounted_payoffs(np.full(500, discount))
     assert result.estimate == pytest.approx(discount, rel=1e-14)
     assert result.std_error == pytest.approx(0.0, abs=1e-14)
-    assert result.n_paths == 500 and result.seed == 5
+    assert result.n_paths == 500
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 129, 1000, 2 * 16384 + 5])
@@ -79,7 +79,7 @@ def test_mc_result_std_error_is_np_std_bit_for_bit(n):
     # the in-place variance repeats np.std(ddof=1)'s operations, so every CSV byte stays
     payoffs = np.maximum(np.random.default_rng(n).standard_t(2.5, n) * 7.0, 0.0)
     reference = payoffs.copy()
-    result = McResult.from_discounted_payoffs(payoffs, seed=0)
+    result = McResult.from_discounted_payoffs(payoffs)
     assert result.estimate == float(np.mean(reference))
     assert result.std_error == float(np.std(reference, ddof=1) / math.sqrt(n))
 
@@ -101,7 +101,7 @@ def test_price_mc_single_path_degenerates():
 
 
 def test_mc_result_confidence_interval_invariant():
-    result = McResult.from_discounted_payoffs(np.array([1.0, 2.0, 4.0, 5.0]), seed=0)
+    result = McResult.from_discounted_payoffs(np.array([1.0, 2.0, 4.0, 5.0]))
     assert result.ci_lo == result.estimate - 1.96 * result.std_error
     assert result.ci_hi == result.estimate + 1.96 * result.std_error
     assert result.n_paths == 4
@@ -259,7 +259,7 @@ def test_mc_price_monotone_in_strike_with_common_paths(common_paths, kind, strik
     assume(k1 < k3)
     discount = math.exp(-MARKET.r * MARKET.T)
     p1, p2, p3 = (
-        McResult.from_discounted_payoffs(discount * Payoff(kind, k).evaluate(common_paths), seed=31).estimate
+        McResult.from_discounted_payoffs(discount * Payoff(kind, k).evaluate(common_paths)).estimate
         for k in strikes
     )
     # exact: K -> max(x - K, 0), the positive scaling and the summation are all monotone in floating point

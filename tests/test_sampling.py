@@ -472,11 +472,13 @@ def test_rng_stream_matches_walker_block(seed):
         assert np.array_equal(terminal[lo:lo + count], np.exp(step(RngStream(seed, b).generator(), count)))
 
 
+@pytest.mark.parametrize("n_steps", [16, 64])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_simulation_never_holds_the_path_matrix(workers):
-    # each block is reduced as it is made, so the traced peak stays far below
-    # one (n_paths, s) float64 matrix
-    n_paths, grid = 32 * BLOCK_SIZE, PathGrid(1.0, 16)
+def test_simulation_never_holds_the_path_matrix(workers, n_steps):
+    # each path's average accumulates as its steps are made, so the traced peak
+    # stays far below one (n_paths, s) float64 matrix, and beyond the two output
+    # n-vectors each worker holds a number of block-length vectors that does not grow with s
+    n_paths, grid = 32 * BLOCK_SIZE, PathGrid(1.0, n_steps)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -485,6 +487,7 @@ def test_simulation_never_holds_the_path_matrix(workers):
     finally:
         tracemalloc.stop()
     assert peak < n_paths * grid.n_steps * 8 / 4
+    assert peak - 2 * 8 * n_paths < workers * 16 * BLOCK_SIZE * 8
 
 
 # ---------------------------------------------------------------------------
