@@ -111,17 +111,14 @@ def nig_density(p: NigParams, x, t: float = 1.0):
     forced by integrating to one (checked by quadrature in the test suite).
     Stable in the tails: evaluated in log space via the scaled Bessel function.
 
-    A Python float ``x`` (``np.float64`` included), as ``scipy.quad`` passes
-    to its integrand, skips the array wrapping; the operations and their order
-    are those of the array path, so the value is bit-identical to that of the
-    0-d array ``np.asarray(x)``.  Any other ``x`` goes through ``np.asarray``;
-    the result is a float for 0-d input and an array otherwise.
+    Elementwise on arrays, as ``integrate`` passes its nodes; the result is a
+    float for a scalar or 0-d ``x`` and an array otherwise.
     """
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
     mu_t = p.mu * t
     delta_t = p.delta * t
-    xa = x if isinstance(x, float) else np.asarray(x, dtype=float)
+    xa = np.asarray(x, dtype=float)
     q = np.sqrt(delta_t**2 + (xa - mu_t) ** 2)
     log_f = (
         np.log(p.alpha * delta_t / np.pi)

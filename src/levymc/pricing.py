@@ -157,14 +157,14 @@ def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) ->
     if boundary >= nig_mean_rate(tilt) * T:
         tilt_up = replace(tilt, beta=tilt.beta + 1.0)
 
-        def call_u(v: float) -> float:
+        def call_u(v: np.ndarray) -> np.ndarray:
             y = mu_t + delta_t * v
-            return -math.expm1(boundary - y) * delta_t * nig_density(tilt_up, y, T)
+            return -np.expm1(boundary - y) * delta_t * nig_density(tilt_up, y, T)
 
         return market.s0 * integrate(call_u, u, math.inf, _TAIL_QUAD)
 
-    def put_u(v: float) -> float:
+    def put_u(v: np.ndarray) -> np.ndarray:
         y = mu_t + delta_t * v
-        return -math.expm1(y - boundary) * delta_t * nig_density(tilt, y, T)
+        return -np.expm1(y - boundary) * delta_t * nig_density(tilt, y, T)
 
     return (market.s0 - discounted_strike) + discounted_strike * integrate(put_u, -math.inf, u, _TAIL_QUAD)

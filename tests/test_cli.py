@@ -550,8 +550,8 @@ def test_market_data_helper():
 
 
 def test_monte_carlo_pricing_leaves_scipy_submodules_unloaded():
-    # scipy's integrate and special load on first use, and only the NIG closed
-    # form (a European Esscher row) reaches them; no library code uses optimize
+    # scipy.special loads on first use, and only the NIG closed form (a European
+    # Esscher row) reaches it; no library code uses integrate or optimize
     code = """
 import sys
 from dataclasses import replace
@@ -571,7 +571,7 @@ print(loaded())
     )
     after_import, after_monte_carlo, after_closed_form = done.stdout.splitlines()
     assert after_import == after_monte_carlo == "[]"
-    assert "'scipy.integrate'" in after_closed_form and "'scipy.special'" in after_closed_form
+    assert after_closed_form == "['scipy.special']"
 
 
 def test_module_entry_point_prints_the_csv():

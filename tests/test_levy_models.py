@@ -67,7 +67,7 @@ def test_nig_density_mean_matches_analytic():
 
 @pytest.mark.parametrize("t", [1.0 / 365.0, 1.0 / 52.0, 1.0 / 12.0, 1.0])
 def test_nig_density_scalar_path_is_bit_identical_to_array_path(t):
-    # scipy.quad hands the integrand Python floats; those take the scalar path
+    # integrate hands the density arrays of nodes; a scalar is the 0-d case of that one path
     mu_t = NIG_BENCH.mu * t
     offsets = np.geomspace(1e-9, 20.0, 1300)  # out past the underflow of the density
     xs = [float(x) for x in np.concatenate([mu_t - offsets, mu_t + offsets, [mu_t]])]
@@ -128,7 +128,7 @@ def test_nig_cumulant_matches_mgf_quadrature():
     # E[exp(theta X_1)] by quadrature against exp(kappa(theta))
     for theta in [-1.0, 0.5, 1.0]:
         mgf = integrate(
-            lambda x: math.exp(theta * x) * nig_density(NIG_BENCH, x, 1.0),
+            lambda x: np.exp(theta * x) * nig_density(NIG_BENCH, x, 1.0),
             -math.inf, math.inf, _LOOSE,
         )
         assert mgf == pytest.approx(math.exp(nig_cumulant(NIG_BENCH, theta)), rel=1e-5)
@@ -175,7 +175,7 @@ def test_vg_cumulant_matches_mgf_quadrature():
     p = VgParams(x0=0.0, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=1.0)
     for theta in [-1.0, 0.5, 1.0]:
         mgf = integrate(
-            lambda x: math.exp(theta * x) * vg_density(p, x, 1.0),
+            lambda x: np.exp(theta * x) * vg_density(p, x, 1.0),
             -math.inf, math.inf, _LOOSE,
         )
         assert mgf == pytest.approx(math.exp(vg_cumulant(p, theta)), rel=1e-5)
@@ -200,8 +200,8 @@ def test_vg_char_function_matches_density_fourier():
     mv = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
     p = vg_from_mean_variance(mv)
     for u in [0.5, 1.0, 2.0]:
-        re = integrate(lambda x: math.cos(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
-        im = integrate(lambda x: math.sin(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
+        re = integrate(lambda x: np.cos(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
+        im = integrate(lambda x: np.sin(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
         assert complex(re, im) == pytest.approx(vg_char_function(mv, u, 1.0), abs=1e-4)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levymc.levy_models import NigParams, nig_density, nig_mean_rate
+from levymc.levy_models import NigParams, nig_mean_rate
 from levymc.measures import ESSCHER, MarketData, nig_esscher, risk_neutralize
 from levymc.pricing import (
     ASIAN_CALL,
@@ -18,7 +18,7 @@ from levymc.pricing import (
     price_mc,
 )
 from levymc.sampling import PathGrid, PathSet, simulate_paths
-from levymc.special_fn import integrate
+from quad_reference import two_tail_price
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
 # the two Esscher tilts the closed form integrates: beta* and beta* + 1
@@ -120,21 +120,6 @@ def _strike_at(boundary: float, market: MarketData) -> float:
     return market.s0 * math.exp(boundary + market.r * market.T)
 
 
-def _two_tail_price(p: NigParams, market: MarketData, strike: float) -> float:
-    """S0*P1 - exp(-r*T)*K*P2, each tail integrated in x itself, through the density's peak.
-
-    P1 is taken under the Esscher tilt beta* + 1 and P2 under beta*, both from
-    log(K/S0) - r*T: the closed form's definition, by independent quadrature.
-    """
-    tilt = nig_esscher(p).risk_neutral_params
-    tilt_up = NigParams(alpha=p.alpha, beta=tilt.beta + 1.0, mu=p.mu, delta=p.delta)
-    t = market.T
-    x = math.log(strike / market.s0) - market.r * t
-    p1 = integrate(lambda y: nig_density(tilt_up, y, t), x, math.inf)
-    p2 = integrate(lambda y: nig_density(tilt, y, t), x, math.inf)
-    return market.s0 * p1 - math.exp(-market.r * t) * strike * p2
-
-
 def test_nig_tail_probability_limits():
     # the closed form's limits: both tail probabilities are 1 at a boundary 50 below
     # the mean, so C = S0 - exp(-rT) K, and both are 0 at a boundary 50 above it
@@ -156,7 +141,7 @@ def test_nig_tail_probability_matches_direct_quadrature(params, t):
     for z in (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0):
         strike = _strike_at(mean + z * sd, market)
         closed = european_call_nig_closed(NIG_BENCH, market, strike)
-        direct = _two_tail_price(NIG_BENCH, market, strike)
+        direct = two_tail_price(NIG_BENCH, market, strike)
         assert closed == pytest.approx(direct, abs=1e-12 * (market.s0 + strike)), (t, z)
 
 
@@ -169,7 +154,7 @@ def test_closed_form_heavy_right_tail_matches_direct_quadrature():
     market = MarketData(s0=1.0, r=0.0, T=1.0)
     for strike in (1.0, 3.0, 20.0):
         closed = european_call_nig_closed(p, market, strike)
-        direct = _two_tail_price(p, market, strike)
+        direct = two_tail_price(p, market, strike)
         assert closed == pytest.approx(direct, abs=1e-12 * (market.s0 + strike)), strike
 
 

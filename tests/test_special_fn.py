@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from levymc.levy_models import NigParams, nig_density
+from levymc import pricing
+from levymc.levy_models import NigParams, VgParams, nig_density, vg_density
+from levymc.measures import MarketData
+from levymc.pricing import european_call_nig_closed
 from levymc.special_fn import (
     QuadratureError,
     QuadratureSpec,
@@ -13,6 +16,9 @@ from levymc.special_fn import (
     log_bessel_k,
     log_gamma,
 )
+from quad_reference import reference_integrate
+
+NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
 
 
 def bessel_k_integral_oracle(order: float, x: float) -> float:
@@ -110,27 +116,70 @@ def test_integrate_constant_on_unit_interval():
     assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_integrate_empty_range_is_zero():
+    assert integrate(lambda x: np.exp(-x), 2.0, 2.0) == 0.0
+
+
 def test_integrate_exponential_tail():
-    assert integrate(lambda x: math.exp(-x), 0.0, math.inf) == pytest.approx(1.0, rel=1e-10)
+    assert integrate(lambda x: np.exp(-x), 0.0, math.inf) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_integrate_gaussian_whole_line():
-    f = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    f = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     assert integrate(f, -math.inf, math.inf) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_integrate_nig_density_normalization():
-    p = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
-    total = integrate(lambda x: nig_density(p, x, t=1.0 / 12.0), -math.inf, math.inf)
+    total = integrate(lambda x: nig_density(NIG_BENCH, x, t=1.0 / 12.0), -math.inf, math.inf)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_integrate_is_linear():
-    f = lambda x: math.exp(-x)
-    g = lambda x: math.exp(-2.0 * x)
+    f = lambda x: np.exp(-x)
+    g = lambda x: np.exp(-2.0 * x)
     combo = integrate(lambda x: 3.0 * f(x) + 2.0 * g(x), 0.0, math.inf)
     parts = 3.0 * integrate(f, 0.0, math.inf) + 2.0 * integrate(g, 0.0, math.inf)
     assert combo == pytest.approx(parts, rel=1e-9)
+
+
+def _closed_form_case(p, market, strike, id):
+    """The closed form priced through a given quadrature engine; engines agree within 1e-12 * (S0 + K)."""
+    def price(engine, monkeypatch):
+        monkeypatch.setattr(pricing, "integrate", engine)
+        return european_call_nig_closed(p, market, strike)
+    return pytest.param(price, dict(abs=1e-12 * (market.s0 + strike)), id=id)
+
+
+def _whole_line_case(f, id):
+    """The integral of ``f`` over the whole line by a given engine; engines agree within 1e-10 relative."""
+    def value(engine, monkeypatch):
+        return engine(f, -math.inf, math.inf)
+    return pytest.param(value, dict(rel=1e-10), id=id)
+
+
+_HEAVY_RIGHT_TAIL = NigParams(alpha=2.0, beta=0.0, mu=-1.5, delta=1.0)  # alpha - beta* = 1.014
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("compute, tolerance", [
+    *(
+        _closed_form_case(NIG_BENCH, MarketData(s0=36.0, r=r, T=t), strike, f"closed-T{t:.3g}-r{r}-K{strike:g}")
+        for t in (1.0 / 52.0, 1.0) for r in (0.05, 0.1) for strike in (30.0, 36.0, 42.0)
+    ),
+    *(
+        _closed_form_case(_HEAVY_RIGHT_TAIL, MarketData(s0=1.0, r=0.0, T=1.0), strike, f"heavy-tail-K{strike:g}")
+        for strike in (1.0, 3.0, 20.0)
+    ),
+    _whole_line_case(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi), "gaussian"),
+    _whole_line_case(lambda x: nig_density(NIG_BENCH, x, t=1.0 / 12.0), "nig-density"),
+    _whole_line_case(
+        lambda x: vg_density(VgParams(x0=0.0, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=1.0), x, 1.0), "vg-density"
+    ),
+])
+def test_integrate_matches_the_scipy_quad_reference(monkeypatch, compute, tolerance):
+    # the same integral through the array GK21 engine and through scipy.integrate.quad
+    # called on one float at a time
+    assert compute(integrate, monkeypatch) == pytest.approx(compute(reference_integrate, monkeypatch), **tolerance)
 
 
 def test_integrate_reports_nonconvergence():
