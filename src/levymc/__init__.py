@@ -8,7 +8,6 @@ density, serves as the validation benchmark for the simulator.
 """
 from .levy_models import (
     NigParams,
-    VgMeanVarianceParams,
     VgParams,
     cumulant,
     nig_cumulant,
@@ -17,7 +16,6 @@ from .levy_models import (
     vg_cumulant,
     vg_density,
     vg_from_mean_variance,
-    vg_to_mean_variance,
 )
 from .measures import (
     ESSCHER,
@@ -68,7 +66,6 @@ __all__ = [
     "QuadratureSpec",
     "RiskNeutralModel",
     "RngStream",
-    "VgMeanVarianceParams",
     "VgParams",
     "cumulant",
     "european_call_nig_closed",
@@ -89,5 +86,4 @@ __all__ = [
     "vg_density",
     "vg_esscher",
     "vg_from_mean_variance",
-    "vg_to_mean_variance",
 ]

@@ -22,9 +22,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import Callable, Sequence
 
-from .levy_models import NigParams, VgMeanVarianceParams, VgParams
+from .levy_models import NigParams, VgParams, vg_from_mean_variance
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
 from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, european_call_nig_closed, price_paths
 from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, simulate_paths
@@ -50,10 +50,6 @@ CSV_HEADER = [
 _PAYOFF_KINDS = (EUROPEAN_CALL, ASIAN_CALL)
 _FIELDS = ("model", "params", "measure", "scheme", "market", "strikes",
            "payoff", "s", "n_paths", "seed", "workers", "out")
-_NIG_FIELDS = ("alpha", "beta", "mu", "delta")
-_VG_MEAN_VARIANCE_FIELDS = ("beta", "sigma", "nu")
-_VG_SUBORDINATED_FIELDS = ("x0", "lam", "lambda", "gamma_rate", "gamma", "beta", "sigma")
-_MARKET_FIELDS = ("s0", "r", "T")
 
 DEFAULT_N_STEPS = 16
 DEFAULT_N_PATHS = 10000
@@ -69,7 +65,7 @@ class RunConfig:
     """One validated pricing experiment: model, measures, schemes, market, strikes."""
 
     model: str
-    params: Union[NigParams, VgParams, VgMeanVarianceParams]
+    params: NigParams | VgParams
     measures: tuple[str, ...]
     schemes: tuple[str, ...]
     market: MarketData
@@ -158,46 +154,31 @@ def _reject_repeats(values: tuple, path: str) -> None:
             raise ConfigError(f"{path}[{i}]: repeats {value!r}")
 
 
-def _build_params(model: str, raw: dict, path: str):
+def _record(raw, path: str, build: Callable, keys: tuple[str, ...], defaults: dict | None = None):
+    """``build`` called with the finite numbers the JSON object ``raw`` holds under ``keys``, in order.
+
+    A key in ``defaults`` may be left out.  A non-object, an unknown or a
+    missing key, a value that is not a finite number, and a ValueError from
+    ``build`` each fail as a ConfigError at ``path``.
+    """
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object, got {raw!r}")
+        raise ConfigError(f"{path}: expected an object with {', '.join(keys)}, got {raw!r}")
+    _reject_unknown(raw, keys, path)
+    given = {**(defaults or {}), **raw}
+    values = [_as_float(_require(given, key, path), f"{path}.{key}") for key in keys]
     try:
-        if model == "nig":
-            _reject_unknown(raw, _NIG_FIELDS, path)
-            return NigParams(
-                alpha=_as_float(_require(raw, "alpha", path), f"{path}.alpha"),
-                beta=_as_float(_require(raw, "beta", path), f"{path}.beta"),
-                mu=_as_float(_require(raw, "mu", path), f"{path}.mu"),
-                delta=_as_float(_require(raw, "delta", path), f"{path}.delta"),
-            )
-        if "nu" in raw:
-            _reject_unknown(raw, _VG_MEAN_VARIANCE_FIELDS, path)
-            return VgMeanVarianceParams(
-                beta=_as_float(_require(raw, "beta", path), f"{path}.beta"),
-                sigma=_as_float(_require(raw, "sigma", path), f"{path}.sigma"),
-                nu=_as_float(raw["nu"], f"{path}.nu"),
-            )
-        _reject_unknown(raw, _VG_SUBORDINATED_FIELDS, path)
-        for name, alias in (("lam", "lambda"), ("gamma_rate", "gamma")):
-            if name in raw and alias in raw:
-                raise ConfigError(f"{path}: give only one of {name!r} and {alias!r}")
-        lam = raw.get("lam", raw.get("lambda"))
-        gamma_rate = raw.get("gamma_rate", raw.get("gamma"))
-        if lam is None or gamma_rate is None:
-            raise ConfigError(
-                f"{path}: vg parameters need either (beta, sigma, nu) or (x0, lambda, gamma, beta, sigma)"
-            )
-        return VgParams(
-            x0=_as_float(raw.get("x0", 0.0), f"{path}.x0"),
-            lam=_as_float(lam, f"{path}.lambda"),
-            gamma_rate=_as_float(gamma_rate, f"{path}.gamma"),
-            beta=_as_float(_require(raw, "beta", path), f"{path}.beta"),
-            sigma=_as_float(_require(raw, "sigma", path), f"{path}.sigma"),
-        )
-    except ConfigError:
-        raise
+        return build(*values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build_params(model: str, raw, path: str) -> NigParams | VgParams:
+    """The model's parameters; a VG record with a ``nu`` key is the unit-mean-clock spelling."""
+    if model == "nig":
+        return _record(raw, path, NigParams, ("alpha", "beta", "mu", "delta"))
+    if isinstance(raw, dict) and "nu" in raw:
+        return _record(raw, path, vg_from_mean_variance, ("beta", "sigma", "nu"))
+    return _record(raw, path, VgParams, ("x0", "lambda", "gamma", "beta", "sigma"), {"x0": 0.0})
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -224,20 +205,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"config.scheme: scheme {sch!r} is incompatible with model {model!r}")
     _reject_repeats(schemes, "config.scheme")
 
-    mkt = _require(doc, "market", "config")
-    if not isinstance(mkt, dict):
-        raise ConfigError("config.market: expected an object with s0, r, T")
-    _reject_unknown(mkt, _MARKET_FIELDS, "config.market")
-    try:
-        market = MarketData(
-            s0=_as_float(_require(mkt, "s0", "config.market"), "config.market.s0"),
-            r=_as_float(_require(mkt, "r", "config.market"), "config.market.r"),
-            T=_as_float(_require(mkt, "T", "config.market"), "config.market.T"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"config.market: {exc}") from exc
+    market = _record(_require(doc, "market", "config"), "config.market", MarketData, ("s0", "r", "T"))
 
     strikes_raw = _as_list(_require(doc, "strikes", "config"), "config.strikes")
     if not strikes_raw:

@@ -8,6 +8,9 @@ Conventions used throughout:
   volatility ``sigma`` run on a gamma clock with shape rate ``lam`` and rate
   ``gamma_rate``, plus a deterministic drift rate ``x0``:
   ``Y_t = x0*t + beta*X_t + sigma*B(X_t)``, ``X_t ~ Gamma(lam*t, gamma_rate)``.
+  ``VgParams`` is its only parameter type: the unit-mean-clock spelling
+  (beta, sigma, nu) of Madan, Carr & Chang (1998) is read once, by
+  ``vg_from_mean_variance``, as lam = gamma_rate = 1/nu and x0 = 0.
 * Cumulants are per unit time: ``E[exp(theta * L_t)] = exp(t * cumulant(theta))``.
   ``cumulant(p, theta)`` is the one formula per model.  ``theta`` may be
   complex with its real part in the strip where the exponential moment
@@ -26,7 +29,6 @@ from .special_fn import log_bessel_k, log_gamma
 __all__ = [
     "NigParams",
     "VgParams",
-    "VgMeanVarianceParams",
     "cumulant",
     "nig_density",
     "nig_cumulant",
@@ -35,7 +37,6 @@ __all__ = [
     "vg_cumulant",
     "vg_density",
     "vg_from_mean_variance",
-    "vg_to_mean_variance",
 ]
 
 
@@ -73,31 +74,17 @@ class VgParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.gamma_rate > 0:
-            raise ValueError(f"gamma_rate must be > 0, got {self.gamma_rate}")
+        # a clock rate of inf, as 1/nu gives for a subnormal nu, leaves no finite gamma clock
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not 0 < self.gamma_rate < math.inf:
+            raise ValueError(f"gamma_rate must be finite and > 0, got {self.gamma_rate}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
     def brownian_cumulant(self, theta):
         """q(theta) = beta*theta + sigma^2 theta^2/2: the Brownian part's cumulant per unit clock time."""
         return self.beta * theta + 0.5 * self.sigma**2 * (theta * theta)
-
-
-@dataclass(frozen=True)
-class VgMeanVarianceParams:
-    """VG with a unit-mean gamma clock: Brownian drift beta, volatility sigma, clock variance rate nu."""
-
-    beta: float
-    sigma: float
-    nu: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +241,8 @@ def vg_density(p: VgParams, x, t: float = 1.0):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def vg_from_mean_variance(mv: VgMeanVarianceParams) -> VgParams:
-    """Subordinated-form parameters of the unit-mean-clock VG: lam = gamma_rate = 1/nu, x0 = 0."""
-    return VgParams(x0=0.0, lam=1.0 / mv.nu, gamma_rate=1.0 / mv.nu, beta=mv.beta, sigma=mv.sigma)
-
-
-def vg_to_mean_variance(p: VgParams) -> tuple[VgMeanVarianceParams, float]:
-    """Rescale an arbitrary gamma clock to unit mean rate.
-
-    Returns the equivalent (beta, sigma, nu) triple together with the linear
-    drift rate x0 that the mean-variance form does not carry.  Round-trips
-    with :func:`vg_from_mean_variance` when x0 = 0.
-    """
-    scale = p.lam / p.gamma_rate
-    mv = VgMeanVarianceParams(
-        beta=p.beta * scale,
-        sigma=p.sigma * math.sqrt(scale),
-        nu=1.0 / p.lam,
-    )
-    return mv, p.x0
+def vg_from_mean_variance(beta: float, sigma: float, nu: float) -> VgParams:
+    """The VG with a unit-mean gamma clock of variance rate nu: lam = gamma_rate = 1/nu, x0 = 0."""
+    if not nu > 0:
+        raise ValueError(f"nu must be > 0, got {nu}")
+    return VgParams(x0=0.0, lam=1.0 / nu, gamma_rate=1.0 / nu, beta=beta, sigma=sigma)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .levy_models import NigParams, VgMeanVarianceParams, VgParams, cumulant, vg_from_mean_variance
+from .levy_models import NigParams, VgParams, cumulant
 
 __all__ = [
     "MarketData",
@@ -180,18 +180,17 @@ def vg_esscher(p: VgParams) -> EsscherSolution:
     return EsscherSolution(theta_star=theta_star, risk_neutral_params=rn, residual=residual)
 
 
-def risk_neutralize(model: NigParams | VgParams | VgMeanVarianceParams, market: MarketData, measure: str) -> RiskNeutralModel:
+def risk_neutralize(model: NigParams | VgParams, market: MarketData, measure: str) -> RiskNeutralModel:
     """Assemble a simulatable risk-neutral model for the requested measure.
 
     drift_rate is r - cumulant(1) under the returned parameter set, so the
     discounted spot is a martingale by construction; for the mean correcting
     measure that is r + omega with omega = -cumulant(1) of the physical law.
-    A mean-variance VG comes back in its subordinated form.
+    The returned model has the type of ``model``: a VG given as (beta, sigma,
+    nu) is a ``VgParams`` already (``vg_from_mean_variance``).
     """
     if measure not in (ESSCHER, MEAN_CORRECT):
         raise ValueError(f"unknown measure {measure!r}; expected {ESSCHER!r} or {MEAN_CORRECT!r}")
-    if isinstance(model, VgMeanVarianceParams):
-        model = vg_from_mean_variance(model)
 
     if measure == ESSCHER:
         sol = nig_esscher(model) if isinstance(model, NigParams) else vg_esscher(model)

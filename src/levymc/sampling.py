@@ -30,13 +30,13 @@ changing it changes the stream layout.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .levy_models import VgMeanVarianceParams, vg_to_mean_variance
 from .measures import RiskNeutralModel
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "simulate_paths",
     "step_sampler",
     "StepSampler",
-    "dg_gamma_components",
     "SCHEMES",
     "MODEL_SCHEMES",
     "STREAM_LAYOUT",
@@ -309,32 +308,28 @@ def _bgss_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     return StepSampler((clock_shape,), draw, assemble)
 
 
-def dg_gamma_components(mv: VgMeanVarianceParams) -> tuple[float, float, float, float]:
-    """Mean and variance rates (mu+, mu-, nu+, nu-) of the two gamma legs.
-
-    mu+- = (sqrt(beta^2 + 2 sigma^2/nu) +- beta)/2 and nu+- = mu+-^2 * nu, so
-    that mu+ - mu- = beta and mu+ * mu- = sigma^2/(2 nu).
-    """
-    root = np.sqrt(mv.beta**2 + 2.0 * mv.sigma**2 / mv.nu)
-    mu_plus = 0.5 * (root + mv.beta)
-    mu_minus = 0.5 * (root - mv.beta)
-    return mu_plus, mu_minus, mu_plus**2 * mv.nu, mu_minus**2 * mv.nu
-
-
 def _dg_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     """VG as the difference of two gammas, same law as BGSS.
 
-    With the clock rescaled to unit mean rate, both legs have the per-step
-    shape mu+-^2*dt/nu+- = dt/nu, which the Esscher tilt does not move, and
-    rates mu+-/nu+-; each leg is a standard gamma scaled by its 1/rate.  The
-    legs are the two halves of one array of standard gammas, which costs
-    fewer calls per step than two arrays.
+    With the clock rescaled to unit mean rate (beta and sigma by the clock's
+    mean rate lam/gamma_rate, variance rate nu = 1/lam), the legs' mean rates
+    are m+- = (sqrt(beta^2 + 2 sigma^2/nu) +- beta)/2, so m+ - m- = beta and
+    m+ * m- = sigma^2/(2 nu).  Each leg is a standard gamma of shape dt/nu,
+    which the Esscher tilt does not move, scaled by m+-^2*nu/m+-.  The legs
+    are the two halves of one array of standard gammas, which costs fewer
+    calls per step than two arrays.
     """
-    mv, x0 = vg_to_mean_variance(rnm.model)
-    mu_plus, mu_minus, nu_plus, nu_minus = dg_gamma_components(mv)
-    shape = dt / mv.nu
-    scale_plus, scale_minus = nu_plus / mu_plus, nu_minus / mu_minus
-    base = (x0 + rnm.drift_rate) * dt
+    p = rnm.model
+    # layout v4's operations in their order: the shape dt/(1/lam) selects the draws and is not
+    # always lam*dt, and the scales are rounded as m^2*nu/m, so any other factorisation of the
+    # same law moves the draws or the last digits of the prices
+    unit = p.lam / p.gamma_rate
+    beta, sigma, nu = p.beta * unit, p.sigma * math.sqrt(unit), 1.0 / p.lam
+    root = math.sqrt(beta**2 + 2.0 * sigma**2 / nu)
+    m_plus, m_minus = 0.5 * (root + beta), 0.5 * (root - beta)
+    shape = dt / nu
+    scale_plus, scale_minus = m_plus**2 * nu / m_plus, m_minus**2 * nu / m_minus
+    base = (p.x0 + rnm.drift_rate) * dt
 
     def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
         g = _standard_gamma(gen, shape, 2 * count)

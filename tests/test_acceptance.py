@@ -14,12 +14,12 @@ from scipy.optimize import brentq
 from levymc.cli import main
 from levymc.levy_models import (
     NigParams,
-    VgMeanVarianceParams,
     VgParams,
     nig_cumulant,
     nig_density,
     nig_levy_density,
     vg_density,
+    vg_from_mean_variance,
 )
 from levymc.measures import (
     ESSCHER,
@@ -50,8 +50,8 @@ NIG_MARKETS = [
     MarketData(s0=36.0, r=r, T=T) for T in (1.0 / 12.0, 2.0 / 12.0) for r in (0.1, 0.05)
 ]
 NIG_STRIKES = (34.0, 35.0, 36.0, 37.0)
-VG_TABLE_CLOCK = VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)
-VG_BENCH_CLOCK = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
+VG_TABLE_CLOCK = vg_from_mean_variance(beta=-0.1436, sigma=1.0, nu=1.0)
+VG_BENCH_CLOCK = vg_from_mean_variance(beta=-0.1436, sigma=0.12136, nu=0.3)
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -189,14 +189,14 @@ def test_criterion_6_martingale_property():
 def test_criterion_7_measure_identities():
     # omega = -kappa(1), both models, against the paper's formulas
     market = NIG_MARKETS[0]
-    p, mv = NIG_BENCH, VG_BENCH_CLOCK
+    p, (beta, sigma, nu) = NIG_BENCH, (-0.1436, 0.12136, 0.3)  # VG_BENCH_CLOCK's (beta, sigma, nu)
     om_nig = risk_neutralize(p, market, MEAN_CORRECT).omega
     paper_nig = -p.mu - p.delta * math.sqrt(p.alpha**2 - p.beta**2) + p.delta * math.sqrt(
         p.alpha**2 - (1.0 + p.beta) ** 2
     )
     ok_nig_omega = abs(om_nig - paper_nig) <= 1e-12
-    om_vg = risk_neutralize(mv, market, MEAN_CORRECT).omega
-    ok_vg_omega = abs(om_vg - math.log(1.0 - mv.beta * mv.nu - 0.5 * mv.sigma**2 * mv.nu) / mv.nu) <= 1e-12
+    om_vg = risk_neutralize(VG_BENCH_CLOCK, market, MEAN_CORRECT).omega
+    ok_vg_omega = abs(om_vg - math.log(1.0 - beta * nu - 0.5 * sigma**2 * nu) / nu) <= 1e-12
 
     # Esscher residuals
     sol_nig = nig_esscher(NIG_BENCH)

@@ -19,9 +19,11 @@ from levymc.cli import (
     PRESETS,
     main,
     parse_config,
+    rows_to_csv_text,
     run_experiment,
     write_csv,
 )
+from levymc.levy_models import vg_from_mean_variance
 from levymc.measures import MarketData, risk_neutralize
 from levymc.pricing import Payoff, price_mc
 from levymc.sampling import BLOCK_SIZE, PathGrid, simulate_paths
@@ -63,7 +65,7 @@ def test_parse_accepts_vg_clock_parametrization():
     cfg = parse_config(json.dumps(doc))
     assert cfg.model == "vg"
     assert cfg.schemes == ("bgss",)
-    assert cfg.params.nu == 0.3
+    assert cfg.params == vg_from_mean_variance(-0.1436, 0.12136, 0.3)
 
 
 def test_parse_error_reports_field_path():
@@ -87,15 +89,23 @@ def test_parse_error_reports_field_path():
         ("vg", dict(vg_mean_variance, lam=2.0), "lam"),
         ("vg", dict(vg_mean_variance, gamma=0.1), "gamma"),
         ("vg", dict(vg_subordinated, theta=0.1), "theta"),
+        ("vg", dict(vg_subordinated, lam=1.0), "lam"),  # one key per field: lambda and gamma have no aliases
+        ("vg", dict(vg_subordinated, gamma_rate=0.1), "gamma_rate"),
         ("nig", dict(MINIMAL_NIG["params"], sigma=3), "sigma"),
     ]:
         with pytest.raises(ConfigError, match=f"config.params.{key}: unknown field"):
             parse_config(json.dumps(dict(MINIMAL_NIG, model=model, params=params)))
     with pytest.raises(ConfigError, match="config.market.q: unknown field"):
         parse_config(json.dumps(dict(MINIMAL_NIG, market=dict(MINIMAL_NIG["market"], q=0.03))))
-    for extra, pair in [({"lam": 1.0}, "'lam' and 'lambda'"), ({"gamma_rate": 0.2}, "'gamma_rate' and 'gamma'")]:
-        with pytest.raises(ConfigError, match=f"config.params: give only one of {pair}"):
-            parse_config(json.dumps(dict(MINIMAL_NIG, model="vg", params=dict(vg_subordinated, **extra))))
+    for params, message in [
+        # 1/nu overflows to an infinite clock rate, which VgParams rejects
+        (dict(vg_mean_variance, nu=1e-320), "config.params: lam must be finite and > 0, got inf"),
+        (dict(vg_mean_variance, nu=0.0), "config.params: nu must be > 0"),
+        (dict(vg_subordinated, gamma=0.0), "config.params: gamma_rate must be finite and > 0"),
+        ({"x0": 0.0, "gamma": 0.1, "beta": 0.0, "sigma": 1.0}, "config.params.lambda: missing required field"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(dict(MINIMAL_NIG, model="vg", params=params)))
     # json writes and parses NaN, Infinity and integers past the float range; no field takes them
     for doc, field in [
         (dict(MINIMAL_NIG, strikes=[math.inf]), r"config\.strikes\[0\]"),
@@ -158,6 +168,8 @@ def test_run_experiment_simulates_the_steps_its_payoff_reads(monkeypatch, payoff
 # both VG measures and both schemes at the vg-lecuyer parameters: each scheme
 # shares its draws across the measures
 VG_BOTH_MEASURES = json.loads((Path(__file__).parent / "configs" / "vg-lecuyer-both-measures.json").read_text())
+# the same model in the subordinated spelling: x0 = 0, lambda = gamma = 1/nu
+VG_SUBORDINATED = json.loads((Path(__file__).parent / "configs" / "vg-lecuyer-subordinated.json").read_text())
 NIG_ASIAN_BOTH_MEASURES = dict(
     MINIMAL_NIG, measure=["esscher", "mean_correct"], strikes=[34.0, 36.0], payoff="asian_arithmetic_call",
 )
@@ -191,6 +203,20 @@ def test_run_experiment_rows_equal_one_simulation_per_cell(doc, workers):
     rows = run_experiment(cfg)
     assert [(r.measure, r.scheme, r.strike, r.price, r.std_error) for r in rows] == _one_simulation_per_cell(cfg)
     assert all(r.status == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_both_vg_spellings_of_one_model_give_the_same_csv(workers):
+    # (beta, sigma, nu) is read as VgParams(0, 1/nu, 1/nu, beta, sigma), so both measures under
+    # both schemes price to the same bytes as the subordinated twin
+    mv = VG_BOTH_MEASURES["params"]
+    assert VG_SUBORDINATED == dict(VG_BOTH_MEASURES, params={
+        "x0": 0.0, "lambda": 1.0 / mv["nu"], "gamma": 1.0 / mv["nu"], "beta": mv["beta"], "sigma": mv["sigma"],
+    })
+    cfg, twin = (parse_config(json.dumps(dict(doc, workers=workers))) for doc in (VG_BOTH_MEASURES, VG_SUBORDINATED))
+    assert (cfg.measures, cfg.schemes) == (("esscher", "mean_correct"), ("bgss", "dg"))
+    assert cfg.params == twin.params
+    assert rows_to_csv_text(run_experiment(cfg)) == rows_to_csv_text(run_experiment(twin))
 
 
 @pytest.mark.parametrize("doc, measure, grid", [
@@ -446,6 +472,12 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     digits.write_text(json.dumps(MINIMAL_NIG).replace("[34.0]", "[" + "1" * 5001 + "]"))
     assert main(["--config", str(digits)]) == 1
     assert "price: error: config: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+    # 1/nu past the float range is an infinite clock rate: a config error under either scheme
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(dict(VG_BOTH_MEASURES, params=dict(VG_BOTH_MEASURES["params"], nu=1e-320))))
+    for scheme in ("bgss", "dg"):
+        assert main(["--config", str(overflow), "--scheme", scheme]) == 1
+        assert "price: error: config.params: lam must be finite and > 0, got inf" in capsys.readouterr().err
 
 
 def test_cli_vg_lecuyer_esscher_is_ok(capsys):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from levymc.levy_models import (
     NigParams,
-    VgMeanVarianceParams,
     VgParams,
     cumulant,
     nig_cumulant,
@@ -24,7 +23,6 @@ from levymc.levy_models import (
     vg_cumulant,
     vg_density,
     vg_from_mean_variance,
-    vg_to_mean_variance,
 )
 from levymc.measures import nig_esscher
 from levymc.special_fn import QuadratureSpec, integrate
@@ -45,7 +43,13 @@ def test_nig_params_validation():
     with pytest.raises(ValueError):
         VgParams(x0=0.0, lam=0.0, gamma_rate=1.0, beta=0.0, sigma=1.0)
     with pytest.raises(ValueError):
-        VgMeanVarianceParams(beta=0.0, sigma=1.0, nu=-0.3)
+        vg_from_mean_variance(beta=0.0, sigma=1.0, nu=-0.3)
+    # a clock rate must be finite: 1/nu overflows for a subnormal nu
+    for lam, gamma_rate in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            VgParams(x0=0.0, lam=lam, gamma_rate=gamma_rate, beta=0.0, sigma=1.0)
+    with pytest.raises(ValueError, match="lam must be finite and > 0, got inf"):
+        vg_from_mean_variance(beta=0.0, sigma=1.0, nu=1e-320)
 
 
 def test_nig_density_symmetric_case_is_even():
@@ -181,28 +185,27 @@ def test_vg_cumulant_matches_mgf_quadrature():
         assert mgf == pytest.approx(math.exp(vg_cumulant(p, theta)), rel=1e-5)
 
 
-def vg_char_function(mv: VgMeanVarianceParams, u: float, t: float) -> complex:
-    """E[exp(i u Y_t)] of the unit-mean-clock VG, from its cumulant on the imaginary axis."""
-    return cmath.exp(t * cumulant(vg_from_mean_variance(mv), 1j * u))
+def vg_char_function(p: VgParams, u: float, t: float) -> complex:
+    """E[exp(i u Y_t)] of the VG, from its cumulant on the imaginary axis."""
+    return cmath.exp(t * cumulant(p, 1j * u))
 
 
 def test_vg_char_function_basics():
-    mv = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
-    assert vg_char_function(mv, 0.0, 1.0) == pytest.approx(1.0)
+    p = vg_from_mean_variance(beta=-0.1436, sigma=0.12136, nu=0.3)
+    assert vg_char_function(p, 0.0, 1.0) == pytest.approx(1.0)
     for u in [0.5, 1.0, 3.0, 10.0]:
         for t in [0.25, 1.0, 2.0]:
-            phi = vg_char_function(mv, u, t)
-            assert phi.conjugate() == pytest.approx(vg_char_function(mv, -u, t), rel=1e-13)
+            phi = vg_char_function(p, u, t)
+            assert phi.conjugate() == pytest.approx(vg_char_function(p, -u, t), rel=1e-13)
             assert abs(phi) <= 1.0 + 1e-12
 
 
 def test_vg_char_function_matches_density_fourier():
-    mv = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
-    p = vg_from_mean_variance(mv)
+    p = vg_from_mean_variance(beta=-0.1436, sigma=0.12136, nu=0.3)
     for u in [0.5, 1.0, 2.0]:
         re = integrate(lambda x: np.cos(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
         im = integrate(lambda x: np.sin(u * x) * vg_density(p, x, 1.0), -math.inf, math.inf, _LOOSE)
-        assert complex(re, im) == pytest.approx(vg_char_function(mv, u, 1.0), abs=1e-4)
+        assert complex(re, im) == pytest.approx(vg_char_function(p, u, 1.0), abs=1e-4)
 
 
 @st.composite
@@ -276,33 +279,19 @@ def test_vg_density_center_finite_limit():
 
 
 def test_vg_from_mean_variance_conversion():
-    assert vg_from_mean_variance(VgMeanVarianceParams(0.1, 1.0, 1.0)) == VgParams(0.0, 1.0, 1.0, 0.1, 1.0)
-    p = vg_from_mean_variance(VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3))
+    assert vg_from_mean_variance(0.1, 1.0, 1.0) == VgParams(0.0, 1.0, 1.0, 0.1, 1.0)
+    p = vg_from_mean_variance(beta=-0.1436, sigma=0.12136, nu=0.3)
     assert p.lam == pytest.approx(10.0 / 3.0)
     assert p.gamma_rate == pytest.approx(10.0 / 3.0)
     assert p.x0 == 0.0
 
 
 def test_vg_clock_moments_and_round_trip():
+    # nu comes back as the clock's variance rate, beside a unit mean rate
     for nu in [0.1, 0.3, 1.0, 2.5]:
-        mv = VgMeanVarianceParams(beta=0.2, sigma=0.7, nu=nu)
-        p = vg_from_mean_variance(mv)
+        p = vg_from_mean_variance(beta=0.2, sigma=0.7, nu=nu)
         assert p.lam / p.gamma_rate == pytest.approx(1.0)        # clock mean rate
         assert p.lam / p.gamma_rate**2 == pytest.approx(nu)      # clock variance rate
-        back, x0 = vg_to_mean_variance(p)
-        assert x0 == 0.0
-        assert back.beta == pytest.approx(mv.beta, rel=1e-14)
-        assert back.sigma == pytest.approx(mv.sigma, rel=1e-14)
-        assert back.nu == pytest.approx(mv.nu, rel=1e-14)
-
-
-def test_vg_to_mean_variance_preserves_cumulant():
-    # the unit-clock remap must leave the law unchanged
-    p = VgParams(x0=0.05, lam=1.2, gamma_rate=0.8853, beta=-0.21, sigma=1.0)
-    mv, x0 = vg_to_mean_variance(p)
-    q = vg_from_mean_variance(mv)
-    for theta in [-0.6, 0.3, 0.9]:
-        assert vg_cumulant(q, theta) + x0 * theta == pytest.approx(vg_cumulant(p, theta), rel=1e-12)
 
 
 def test_densities_nonnegative_on_grid():

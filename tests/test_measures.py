@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 
 from levymc.levy_models import (
     NigParams,
-    VgMeanVarianceParams,
     VgParams,
     cumulant,
     nig_cumulant,
@@ -33,7 +32,7 @@ from levymc.sampling import PathGrid, simulate_paths
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
 MARKET = MarketData(s0=36.0, r=0.1, T=1.0 / 12.0)
-VG_CLOCK = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
+VG_CLOCK = vg_from_mean_variance(beta=-0.1436, sigma=0.12136, nu=0.3)
 
 
 def test_nig_esscher_closed_form_matches_root_solve():
@@ -213,7 +212,7 @@ def mean_correct_omega(model) -> float:
 
 
 def test_omega_vg_degenerate_clock():
-    assert abs(mean_correct_omega(VgMeanVarianceParams(beta=0.0, sigma=1e-6, nu=0.3))) <= 1e-10
+    assert abs(mean_correct_omega(vg_from_mean_variance(beta=0.0, sigma=1e-6, nu=0.3))) <= 1e-10
 
 
 def test_omega_vg_value_and_mc_cross_check():
@@ -221,7 +220,7 @@ def test_omega_vg_value_and_mc_cross_check():
     assert omega == pytest.approx(0.13352544843057332, abs=1e-12)  # direct formula evaluation
     # Monte Carlo oracle: exp(-omega) = E[exp(Y_1)] with 1e6 draws
     rng = np.random.Generator(np.random.Philox(key=np.array([404, 0], dtype=np.uint64)))
-    clock = rng.gamma(1.0 / VG_CLOCK.nu, VG_CLOCK.nu, size=1_000_000)
+    clock = rng.gamma(VG_CLOCK.lam, 1.0 / VG_CLOCK.gamma_rate, size=1_000_000)
     y1 = VG_CLOCK.beta * clock + VG_CLOCK.sigma * np.sqrt(clock) * rng.standard_normal(1_000_000)
     draws = np.exp(y1)
     se = draws.std(ddof=1) / 1000.0
@@ -230,14 +229,14 @@ def test_omega_vg_value_and_mc_cross_check():
 
 def test_omega_vg_is_minus_cumulant_at_one():
     # the paper's unit-clock form: omega = log(1 - beta*nu - sigma^2*nu/2)/nu
-    for mv in [VG_CLOCK, VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)]:
-        paper = math.log(1.0 - mv.beta * mv.nu - 0.5 * mv.sigma**2 * mv.nu) / mv.nu
-        assert mean_correct_omega(mv) == pytest.approx(paper, abs=1e-12)
+    for beta, sigma, nu in [(-0.1436, 0.12136, 0.3), (-0.1436, 1.0, 1.0)]:
+        paper = math.log(1.0 - beta * nu - 0.5 * sigma**2 * nu) / nu
+        assert mean_correct_omega(vg_from_mean_variance(beta, sigma, nu)) == pytest.approx(paper, abs=1e-12)
 
 
 def test_omega_vg_nonexistence():
     with pytest.raises(MeasureExistenceError):
-        mean_correct_omega(VgMeanVarianceParams(beta=0.9, sigma=1.0, nu=2.0))
+        mean_correct_omega(vg_from_mean_variance(beta=0.9, sigma=1.0, nu=2.0))
 
 
 def test_omega_nig_symmetry_point():
@@ -309,7 +308,7 @@ def test_risk_neutralize_vg_mean_correct_fields():
 
 def test_risk_neutralize_vg_esscher_keeps_zero_start():
     market = MarketData(s0=100.0, r=0.1, T=1.0)
-    for mv in [VG_CLOCK, VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)]:
+    for mv in [VG_CLOCK, vg_from_mean_variance(beta=-0.1436, sigma=1.0, nu=1.0)]:
         rnm = risk_neutralize(mv, market, ESSCHER)
         assert rnm.model.x0 == 0.0
         assert rnm.drift_rate == pytest.approx(market.r, abs=1e-12)

@@ -12,13 +12,11 @@ from scipy.integrate import cumulative_trapezoid
 
 from levymc.levy_models import (
     NigParams,
-    VgMeanVarianceParams,
     VgParams,
     cumulant,
     nig_density,
     nig_mean_rate,
     vg_from_mean_variance,
-    vg_to_mean_variance,
 )
 from levymc.measures import ESSCHER, MEAN_CORRECT, MarketData, RiskNeutralModel, risk_neutralize
 from levymc.sampling import (
@@ -26,7 +24,6 @@ from levymc.sampling import (
     PathGrid,
     RngStream,
     _standard_gamma,
-    dg_gamma_components,
     inverse_gaussian_from_draws,
     sample_gamma,
     sample_inverse_gaussian,
@@ -272,7 +269,7 @@ def test_paths_bit_identical_across_runs_and_workers():
 
 
 def test_vg_paths_bit_identical_across_workers():
-    rnm = driftless(vg_from_mean_variance(VgMeanVarianceParams(-0.1436, 1.0, 1.0)), s0=100.0)
+    rnm = driftless(vg_from_mean_variance(-0.1436, 1.0, 1.0), s0=100.0)
     grid = PathGrid(1.0, 8)
     a = simulate_paths(rnm, grid, 33_000, seed=3, scheme="dg")
     b = simulate_paths(rnm, grid, 33_000, seed=3, scheme="dg", workers=4)
@@ -313,8 +310,8 @@ def test_gamma_is_a_scaled_standard_gamma():
 
 
 # the VG parameters of the vg-table and vg-lecuyer presets
-_VG_TABLE = VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0)
-_VG_LECUYER = VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3)
+_VG_TABLE = vg_from_mean_variance(beta=-0.1436, sigma=1.0, nu=1.0)
+_VG_LECUYER = vg_from_mean_variance(beta=-0.1436, sigma=0.12136, nu=0.3)
 _VG_MARKET = MarketData(s0=100.0, r=0.1, T=1.0)
 
 
@@ -393,12 +390,17 @@ def _bgss_draws(rnm, dt):
 
 
 def _dg_draws(rnm, dt):
-    mv, x0 = vg_to_mean_variance(rnm.model)
-    mu_p, mu_m, nu_p, nu_m = dg_gamma_components(mv)
+    # layout v4's leg arithmetic: beta and sigma on the unit-mean clock, whose
+    # variance rate is nu = 1/lam; leg mean rates m+-, scales m+-^2*nu/m+-, shape dt/nu
+    p = rnm.model
+    unit = p.lam / p.gamma_rate
+    beta, sigma, nu = p.beta * unit, p.sigma * math.sqrt(unit), 1.0 / p.lam
+    root = math.sqrt(beta**2 + 2.0 * sigma**2 / nu)
+    m_p, m_m = 0.5 * (root + beta), 0.5 * (root - beta)
 
     def step(gen, n):
-        g = _small_shape_gammas(gen, dt / mv.nu, 2 * n)
-        return (x0 + rnm.drift_rate) * dt + (nu_p / mu_p) * g[:n] - (nu_m / mu_m) * g[n:]
+        g = _small_shape_gammas(gen, dt / nu, 2 * n)
+        return (p.x0 + rnm.drift_rate) * dt + (m_p**2 * nu / m_p) * g[:n] - (m_m**2 * nu / m_m) * g[n:]
 
     return step
 
@@ -554,12 +556,15 @@ def test_bgss_one_step_mean():
     assert inc.mean() == pytest.approx(expected, abs=4.0 * se)
 
 
-@pytest.mark.parametrize("scheme", ["ig", "bgss", "dg"])
-def test_terminal_matches_char_function(scheme):
-    if scheme == "ig":
-        model = NigParams(alpha=8.0, beta=-2.0, mu=0.05, delta=0.6)
-    else:
-        model = vg_from_mean_variance(VgMeanVarianceParams(beta=-0.1436, sigma=0.12136, nu=0.3))
+@pytest.mark.parametrize("scheme, model", [
+    ("ig", NigParams(alpha=8.0, beta=-2.0, mu=0.05, delta=0.6)),
+    ("bgss", _VG_LECUYER),
+    ("dg", _VG_LECUYER),
+    # a clock whose mean rate lam/gamma_rate is not 1 and x0 != 0: the law of dg's unit-clock remap
+    ("bgss", _LAYOUT_VG),
+    ("dg", _LAYOUT_VG),
+], ids=["ig", "bgss", "dg", "bgss-subordinated", "dg-subordinated"])
+def test_terminal_matches_char_function(scheme, model):
     paths = simulate_paths(driftless(model), PathGrid(1.0, 16), 200_000, seed=61, scheme=scheme)
     y = np.log(paths.terminal)
     for u in (1.0, 2.0, 5.0):
@@ -569,26 +574,8 @@ def test_terminal_matches_char_function(scheme):
         assert im.mean() == pytest.approx(phi.imag, abs=4.0 * im.std(ddof=1) / math.sqrt(len(y)))
 
 
-def test_dg_component_identities():
-    for mv in [
-        VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0),
-        VgMeanVarianceParams(beta=0.4, sigma=0.7, nu=0.3),
-    ]:
-        mu_p, mu_m, nu_p, nu_m = dg_gamma_components(mv)
-        assert mu_p - mu_m == pytest.approx(mv.beta, rel=1e-12)
-        assert mu_p * mu_m == pytest.approx(mv.sigma**2 / (2.0 * mv.nu), rel=1e-12)
-        assert nu_p == pytest.approx(mu_p**2 * mv.nu, rel=1e-14)
-        assert nu_m == pytest.approx(mu_m**2 * mv.nu, rel=1e-14)
-
-
-def test_dg_symmetric_when_driftless_brownian():
-    mu_p, mu_m, _, _ = dg_gamma_components(VgMeanVarianceParams(beta=0.0, sigma=0.8, nu=0.5))
-    assert mu_p == pytest.approx(mu_m, rel=1e-14)
-    assert mu_p == pytest.approx(0.8 / math.sqrt(2.0 * 0.5), rel=1e-12)
-
-
 def test_dg_and_bgss_share_terminal_distribution():
-    p = vg_from_mean_variance(VgMeanVarianceParams(beta=-0.1436, sigma=1.0, nu=1.0))
+    p = vg_from_mean_variance(beta=-0.1436, sigma=1.0, nu=1.0)
     grid = PathGrid(1.0, 16)
     y_bgss = np.log(simulate_paths(driftless(p), grid, 10_000, seed=67, scheme="bgss").terminal)
     y_dg = np.log(simulate_paths(driftless(p), grid, 10_000, seed=71, scheme="dg").terminal)
