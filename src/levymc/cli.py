@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from .levy_models import NigParams, VgParams, vg_from_mean_variance
 from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
 from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, european_call_nig_closed, price_paths
-from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, simulate_paths
+from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, PathSet, simulate_paths
 from .special_fn import QuadratureError
 
 __all__ = [
@@ -277,20 +277,22 @@ def _row(cfg: RunConfig, measure: str, scheme: str, strike: float, outcome: McRe
 def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     """Price every requested (measure x scheme x strike) cell.
 
-    Paths are simulated per (measure, scheme), each reduced to its terminal
-    spot and average, and priced at every strike by ``price_paths``, the
-    pipeline ``price_mc`` runs too: the strikes reuse the paths (common
-    random numbers), so prices are comparable across strikes and the whole
-    table is deterministic for a fixed seed.  Every measure that exists is
-    simulated in one call per scheme: the Esscher tilt moves neither delta
-    nor lambda, so both measures' draws are equal under every scheme
-    (``simulate_paths`` raises if they differ), and each block draws its
-    variates once and every measure builds its paths from them, bit for bit
-    the paths it would get alone.  European
-    rows simulate one step of length T; Asian rows simulate the config's
-    ``s`` monitoring steps.  A measure that fails to exist, or a non-finite
-    price, SE or CI, yields a row whose status says so.  Rows come in
-    (measure, scheme, strike) order.
+    Paths are simulated per (measure, scheme), and ``simulate_paths`` hands
+    each finished block, reduced to its paths' terminal spots and averages,
+    to ``price_paths`` on this thread in block order: every strike's
+    discounted payoffs are reduced per block and combined in block order,
+    the pipeline ``price_mc`` runs too, and no n_paths-vector is allocated.
+    The strikes reuse the paths (common random numbers), so prices are
+    comparable across strikes and the whole table is deterministic for a
+    fixed seed.  Every measure that exists is simulated in one call per
+    scheme: the Esscher tilt moves neither delta nor lambda, so both
+    measures' draws are equal under every scheme (``simulate_paths`` raises
+    if they differ), and each block draws its variates once and every
+    measure builds its paths from them, bit for bit the paths it would get
+    alone.  European rows simulate one step of length T; Asian rows
+    simulate the config's ``s`` monitoring steps.  A measure that fails to
+    exist, or a non-finite price, SE or CI, yields a row whose status says
+    so.  Rows come in (measure, scheme, strike) order.
     """
     # a European payoff reads only the terminal spot, whose law is exact in one step of length T
     n_steps = 1 if cfg.payoff_kind == EUROPEAN_CALL else cfg.n_steps
@@ -314,15 +316,19 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
                 cells[measure, scheme] = [_row(cfg, measure, scheme, k, str(exc)) for k in cfg.strikes]
 
     for scheme in cfg.schemes if models else ():  # no call when every measure failed
-        path_sets = simulate_paths(
-            list(models.values()), grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers,
+        results = [None] * len(models)  # each measure's McResult per strike, over the blocks so far
+
+        def consume(blocks: list[PathSet]) -> None:
+            for i, paths in enumerate(blocks):
+                results[i] = price_paths(paths, cfg.payoff_kind, cfg.strikes, discount, results[i])
+
+        simulate_paths(
+            list(models.values()), grid, cfg.n_paths, cfg.seed, scheme=scheme, workers=cfg.workers, consume=consume,
         )
-        for measure in models:
-            # popped, so each measure's two n-vectors are freed once its strikes are priced
-            results = price_paths(path_sets.pop(0), cfg.payoff_kind, cfg.strikes, discount)
+        for measure, measure_results in zip(models, results):
             cells[measure, scheme] = [
                 _row(cfg, measure, scheme, k, result, closed.get(k) if measure == ESSCHER else None)
-                for k, result in zip(cfg.strikes, results)
+                for k, result in zip(cfg.strikes, measure_results)
             ]
     return [row for measure in cfg.measures for scheme in cfg.schemes for row in cells[measure, scheme]]
 

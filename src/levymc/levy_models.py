@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_NIG_BOUND = 1e150
+
+
 @dataclass(frozen=True)
 class NigParams:
     """NIG parameters: tail heaviness alpha, asymmetry beta, drift mu, scale delta."""
@@ -50,10 +53,14 @@ class NigParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        # the NIG formulas square alpha, mu and delta, and divide by delta^2: within these
+        # bounds every such square is a finite float and delta^2 is no subnormal or 0
+        if not 0 < self.alpha < _NIG_BOUND:
+            raise ValueError(f"alpha must be > 0 and below {_NIG_BOUND:g}, got {self.alpha}")
+        if not abs(self.mu) < _NIG_BOUND:
+            raise ValueError(f"|mu| must be below {_NIG_BOUND:g}, got {self.mu}")
+        if not 1.0 / _NIG_BOUND < self.delta < _NIG_BOUND:
+            raise ValueError(f"delta must lie between {1.0 / _NIG_BOUND:g} and {_NIG_BOUND:g}, got {self.delta}")
         if not abs(self.beta) < self.alpha:
             raise ValueError(f"|beta| < alpha required, got beta={self.beta}, alpha={self.alpha}")
 

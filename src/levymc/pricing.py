@@ -9,7 +9,7 @@ import numpy as np
 
 from .levy_models import NigParams, nig_density, nig_mean_rate
 from .measures import MarketData, MeasureExistenceError, RiskNeutralModel, nig_esscher
-from .sampling import PathGrid, PathSet, simulate_paths
+from .sampling import BLOCK_SIZE, PathGrid, PathSet, simulate_paths
 from .special_fn import QuadratureSpec, integrate
 
 __all__ = [
@@ -54,13 +54,32 @@ class Payoff:
 
 @dataclass(frozen=True)
 class McResult:
-    """Monte Carlo estimate with its standard error and 95% confidence interval."""
+    """Monte Carlo estimate with its standard error and 95% confidence interval.
+
+    ``m2`` is the sum of the squared deviations of the discounted payoffs
+    from the estimate: with ``n_paths`` and the estimate, it is all that
+    ``combine`` needs to add further paths.
+    """
 
     estimate: float
     std_error: float
     ci_lo: float
     ci_hi: float
     n_paths: int
+    m2: float
+
+    @classmethod
+    def _from_moments(cls, n: int, estimate: float, m2: float) -> "McResult":
+        # Python floats: an inf or NaN moment gives an inf or NaN result, never a warning
+        std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+        return cls(
+            estimate=estimate,
+            std_error=std_error,
+            ci_lo=estimate - 1.96 * std_error,
+            ci_hi=estimate + 1.96 * std_error,
+            n_paths=n,
+            m2=m2,
+        )
 
     @classmethod
     def from_discounted_payoffs(cls, discounted: np.ndarray) -> "McResult":
@@ -73,34 +92,53 @@ class McResult:
         n = len(discounted)
         with np.errstate(over="ignore", invalid="ignore"):
             estimate = float(np.mean(discounted))
-            std_error = 0.0
+            m2 = 0.0
             if n > 1:
                 np.subtract(discounted, estimate, out=discounted)
                 np.square(discounted, out=discounted)
-                std_error = float(np.sqrt(np.sum(discounted) / (n - 1)) / math.sqrt(n))
-        return cls(
-            estimate=estimate,
-            std_error=std_error,
-            ci_lo=estimate - 1.96 * std_error,
-            ci_hi=estimate + 1.96 * std_error,
-            n_paths=n,
-        )
+                m2 = float(np.sum(discounted))
+        return cls._from_moments(n, estimate, m2)
+
+    def combine(self, later: "McResult") -> "McResult":
+        """The result of this result's paths followed by ``later``'s.
+
+        The pairwise update of Chan, Golub & LeVeque (1979): with d the
+        difference of the two estimates, the estimate moves by
+        d * n_later / n and ``m2`` gains d^2 * n * n_later / n over the two
+        ``m2``.  An inf or NaN in either gives an inf or NaN result, no
+        warning.
+        """
+        n = self.n_paths + later.n_paths
+        delta = later.estimate - self.estimate
+        estimate = self.estimate + delta * (later.n_paths / n)
+        m2 = self.m2 + later.m2 + delta * delta * (self.n_paths * later.n_paths / n)
+        return McResult._from_moments(n, estimate, m2)
 
 
-def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], discount: float) -> list[McResult]:
+def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], discount: float,
+                prior: Sequence[McResult] | None = None) -> list[McResult]:
     """Each strike's discounted Monte Carlo result from one set of paths, in strike order.
 
     The one place where payoffs are evaluated, discounted in place by
     ``discount`` and reduced.  Every strike reads the same paths (common
-    random numbers), and each strike's payoff n-vector is freed before the
-    next strike's is allocated.
+    random numbers).  The paths are taken in slices of ``BLOCK_SIZE``, the
+    walker's blocks; each slice's discounted payoffs are reduced by
+    ``McResult.from_discounted_payoffs`` and combined in slice order
+    (``McResult.combine``), after ``prior``'s result when earlier paths were
+    priced already.  So pricing a simulation block by block, as
+    ``simulate_paths`` hands the blocks over, gives bit for bit the results
+    of pricing all its paths at once, and no payoff vector is longer than a
+    block.
     """
-    results = []
-    for strike in strikes:
-        discounted = Payoff(payoff_kind, strike).evaluate(paths)
-        discounted *= discount
-        results.append(McResult.from_discounted_payoffs(discounted))
-        del discounted  # free this n-vector before the next strike's evaluate allocates one
+    results = list(prior) if prior is not None else [None] * len(strikes)
+    payoffs = [Payoff(payoff_kind, strike) for strike in strikes]
+    for lo in range(0, paths.n_paths, BLOCK_SIZE):
+        block = PathSet(paths.terminal[lo:lo + BLOCK_SIZE], paths.average[lo:lo + BLOCK_SIZE])
+        for i, payoff in enumerate(payoffs):
+            discounted = payoff.evaluate(block)
+            discounted *= discount
+            result = McResult.from_discounted_payoffs(discounted)
+            results[i] = result if results[i] is None else results[i].combine(result)
     return results
 
 
@@ -115,14 +153,22 @@ def price_mc(
 ) -> McResult:
     """Discounted Monte Carlo price: exp(-r*T) times the mean simulated payoff.
 
-    ``simulate_paths`` then ``price_paths`` for the one strike, the pipeline
-    of every CLI row, so a cell's result is bit for bit the matching
-    ``run_experiment`` row's.  Deterministic for a fixed seed regardless of
-    worker count.  The payoff reads each path's terminal spot or average; no
-    path is stored.
+    ``simulate_paths`` hands each block of paths to ``price_paths``, which
+    folds it into the strike's result: the pipeline of every CLI row, so a
+    cell's result is bit for bit the matching ``run_experiment`` row's.
+    Deterministic for a fixed seed regardless of worker count.  The payoff
+    reads each path's terminal spot or average; no path and no
+    n_paths-vector is stored.
     """
-    paths = simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers)
-    return price_paths(paths, payoff.kind, [payoff.strike], math.exp(-rnm.market.r * grid.maturity))[0]
+    discount = math.exp(-rnm.market.r * grid.maturity)
+    results = None
+
+    def consume(paths: PathSet) -> None:
+        nonlocal results
+        results = price_paths(paths, payoff.kind, [payoff.strike], discount, results)
+
+    simulate_paths(rnm, grid, n_paths, seed, scheme=scheme, workers=workers, consume=consume)
+    return results[0]
 
 
 def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) -> float:

@@ -23,14 +23,17 @@ Reproducibility model: every simulation consumes randomness through SFC64
 streams keyed by (seed, block index), one ``SeedSequence(seed,
 spawn_key=(block,))`` per block (``STREAM_LAYOUT``).  Paths are generated in
 fixed-size blocks, and each path's terminal spot and average accumulate in
-their block positions step by step (each average sums its dates in date
-order), so no path is ever held and the output is bit-identical across runs
-and across any number of workers.  The block size is a build constant;
-changing it changes the stream layout.
+their block step by step (each average sums its dates in date order), so no
+path is ever held.  Each finished block is handed to a consumer on the
+calling thread in block order (``simulate_paths``' ``consume``; the pricer
+reduces it there), so the output is bit-identical across runs and across
+any number of workers.  The block size is a build constant; changing it
+changes the stream layout.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
@@ -374,7 +377,8 @@ def simulate_paths(
     seed: int,
     scheme: str | None = None,
     workers: int = 1,
-) -> PathSet | list[PathSet]:
+    consume: Callable | None = None,
+) -> PathSet | list[PathSet] | None:
     """Terminal spots and averages of paths from the named scheme, or the first model's default one.
 
     Given one model, returns its ``PathSet``.  Given a sequence of models
@@ -385,11 +389,20 @@ def simulate_paths(
     Each block of ``BLOCK_SIZE`` paths draws from its own (seed, block index)
     stream, one step at a time.  Each model assembles the step into a scratch
     vector, adds it to its running log spots, writes s0 * exp(.) of them to
-    its ``terminal`` slice and adds that to its ``average`` slice: the last
-    step leaves S_T, and each average sums its dates in date order, then is
+    the block's ``terminal`` and adds that to its ``average``: the last step
+    leaves S_T, and each average sums its dates in date order, then is
     divided by s.  No per-block state grows with s.
+
+    Given ``consume``, each finished block is handed to it as what the call
+    would return for that block's paths alone (a ``PathSet``, or a list of
+    them), on the calling thread and in block order, and the call returns
+    None: no n_paths-vector is allocated.  Without it, the blocks are copied
+    into whole-length ``PathSet`` objects.  With one block or one worker the
+    walk runs on the calling thread, with no pool; otherwise ``workers``
+    threads walk the blocks, at most two per worker in flight.
     """
-    models = [rnm] if isinstance(rnm, RiskNeutralModel) else list(rnm)
+    single = isinstance(rnm, RiskNeutralModel)
+    models = [rnm] if single else list(rnm)
     if not models:
         raise ValueError("simulate_paths needs at least one model")
     scheme = scheme or MODEL_SCHEMES[models[0].model_kind][0]
@@ -399,12 +412,12 @@ def simulate_paths(
     if len({sampler.key for sampler in samplers}) > 1:
         raise ValueError(f"the models' {scheme!r} draws differ, so they cannot be shared")
     draw = samplers[0].draw
-    outs = [PathSet(terminal=np.empty(n_paths), average=np.zeros(n_paths)) for _ in models]
     spans = [(b, lo, min(lo + BLOCK_SIZE, n_paths)) for b, lo in enumerate(range(0, n_paths, BLOCK_SIZE))]
 
-    def run(span: tuple[int, int, int]) -> None:
+    def run(span: tuple[int, int, int]) -> PathSet | list[PathSet]:
         block_index, lo, hi = span
         gen = _generator(seed, block_index)
+        outs = [PathSet(terminal=np.empty(hi - lo), average=np.zeros(hi - lo)) for _ in models]
         logs = [np.zeros(hi - lo) for _ in models]  # each path's log(S_{t_j}/s0)
         step = np.empty(hi - lo)
         for _ in range(grid.n_steps):
@@ -412,15 +425,40 @@ def simulate_paths(
             for log, sampler, model, out in zip(logs, samplers, models, outs):
                 sampler.assemble(variates, step)
                 log += step
-                spots = out.terminal[lo:hi]  # the last step leaves S_T here
                 # errstate is per thread: a spot past the float range is an inf the row status reports
                 with np.errstate(over="ignore"):
-                    np.exp(log, out=spots)
-                    spots *= model.market.s0
-                    out.average[lo:hi] += spots
+                    np.exp(log, out=out.terminal)  # the last step leaves S_T here
+                    out.terminal *= model.market.s0
+                    out.average += out.terminal
+        for out in outs:
+            out.average /= grid.n_steps
+        return outs[0] if single else outs
 
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(spans)))) as pool:
-        list(pool.map(run, spans))
-    for out in outs:
-        out.average /= grid.n_steps
-    return outs[0] if isinstance(rnm, RiskNeutralModel) else outs
+    whole = None
+    if consume is None:
+        whole = [PathSet(terminal=np.empty(n_paths), average=np.empty(n_paths)) for _ in models]
+        filled = 0
+
+        def consume(block: PathSet | list[PathSet]) -> None:
+            nonlocal filled
+            for out, part in zip(whole, [block] if single else block):
+                out.terminal[filled:filled + part.n_paths] = part.terminal
+                out.average[filled:filled + part.n_paths] = part.average
+            filled += part.n_paths
+
+    threads = max(1, min(workers, len(spans)))
+    if threads == 1:
+        for span in spans:
+            consume(run(span))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque(pool.submit(run, span) for span in spans[:2 * threads])
+            for span in spans[2 * threads:]:
+                block = pending.popleft().result()
+                pending.append(pool.submit(run, span))  # before consuming, so the workers stay busy
+                consume(block)
+            while pending:
+                consume(pending.popleft().result())
+    if whole is None:
+        return None
+    return whole[0] if single else whole

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -175,8 +176,28 @@ NIG_ASIAN_BOTH_MEASURES = dict(
 )
 
 
+def _block_moments_combined(discounted):
+    """(mean, SE) of ``discounted`` from each block's mean and sum of squared deviations, combined in block order.
+
+    The pairwise update of Chan, Golub & LeVeque (1979), written out here as the reference.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for lo in range(0, len(discounted), BLOCK_SIZE):
+        block = discounted[lo:lo + BLOCK_SIZE]
+        b_n, b_mean = len(block), float(np.mean(block))
+        b_m2 = float(np.sum(np.square(block - b_mean))) if b_n > 1 else 0.0
+        if n == 0:
+            n, mean, m2 = b_n, b_mean, b_m2
+            continue
+        total, delta = n + b_n, b_mean - mean
+        mean = mean + delta * (b_n / total)
+        m2 = m2 + b_m2 + delta * delta * (n * b_n / total)
+        n = total
+    return mean, (math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0)
+
+
 def _one_simulation_per_cell(cfg):
-    """(measure, scheme, strike, price, SE) from one one-model simulation per (measure, scheme), priced with np.std."""
+    """(measure, scheme, strike, price, SE) from one one-model simulation per (measure, scheme), reduced per block."""
     grid = PathGrid(cfg.market.T, cfg.n_steps)
     discount = math.exp(-cfg.market.r * cfg.market.T)
     cells = []
@@ -186,8 +207,7 @@ def _one_simulation_per_cell(cfg):
             paths = simulate_paths(rnm, grid, cfg.n_paths, cfg.seed, scheme=scheme)
             for strike in cfg.strikes:
                 discounted = discount * np.maximum(paths.average - strike, 0.0)
-                std_error = float(np.std(discounted, ddof=1) / math.sqrt(cfg.n_paths))
-                cells.append((measure, scheme, strike, float(np.mean(discounted)), std_error))
+                cells.append((measure, scheme, strike, *_block_moments_combined(discounted)))
     return cells
 
 
@@ -257,13 +277,15 @@ def test_run_experiment_simulates_measures_together_only_when_their_draws_match(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("doc, schemes, models, vectors", [
-    (NIG_ASIAN_BOTH_MEASURES, ["ig"], 2, 5),  # two PathSets from shared draws and one payoff vector
-    (VG_BOTH_MEASURES, ["bgss"], 2, 5),
+@pytest.mark.parametrize("doc, schemes, models", [
+    (NIG_ASIAN_BOTH_MEASURES, ["ig"], 2),  # two measures from shared draws
+    (VG_BOTH_MEASURES, ["bgss"], 2),
 ], ids=["nig-asian", "vg-shared"])
-def test_run_experiment_memory_in_n_vectors(doc, schemes, models, vectors, workers):
-    # n-vectors of 8*n bytes, plus per worker each simulated model's running
-    # log spots and a few block-length temporaries
+def test_run_experiment_memory_in_n_vectors(doc, schemes, models, workers):
+    # no n_paths-vector: each block is priced as it is simulated, so the peak is
+    # block-length vectors only.  At most 2 blocks per worker are in flight and
+    # one more is being priced; each holds every model's terminal spots,
+    # averages and running log spots, plus a few draws and temporaries
     n_paths, n_steps = 32 * BLOCK_SIZE, 4
     cfg = parse_config(json.dumps(dict(doc, scheme=schemes, s=n_steps, n_paths=n_paths, workers=workers)))
     tracemalloc.start()
@@ -273,7 +295,39 @@ def test_run_experiment_memory_in_n_vectors(doc, schemes, models, vectors, worke
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < vectors * 8 * n_paths + workers * models * BLOCK_SIZE * 8 * (n_steps + 8)
+    assert peak < (2 * workers + 1) * (3 * models + 6) * BLOCK_SIZE * 8
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"alpha": 1e200}, r"alpha must be > 0 and below 1e\+150, got 1e\+200"),
+    ({"mu": -1e200}, r"\|mu\| must be below 1e\+150, got -1e\+200"),
+    ({"delta": 1e-200}, r"delta must lie between 1e-150 and 1e\+150, got 1e-200"),
+])
+def test_cli_nig_params_past_the_float_range_exit_one(tmp_path, capsys, params, message):
+    # alpha^2 used to overflow in the Esscher tilt, and delta^2 to underflow to a
+    # divisor of 0: a traceback, not a row status
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(NIG_ASIAN_BOTH_MEASURES, params=dict(MINIMAL_NIG["params"], **params))))
+    assert main(["--config", str(path)]) == 1
+    assert re.search(f"price: error: config.params: {message}", capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("payoff", ["european_call", "asian_arithmetic_call"])
+@pytest.mark.parametrize("params", [
+    {"alpha": 1e149, "beta": 3.69, "mu": -0.000123, "delta": 0.0103},
+    {"alpha": 81.6, "beta": 3.69, "mu": -1e149, "delta": 0.0103},
+    {"alpha": 81.6, "beta": 3.69, "mu": 1e149, "delta": 1e-149},
+    {"alpha": 1e149, "beta": -9e148, "mu": 0.0, "delta": 1e149},
+])
+def test_nig_params_at_the_float_range_give_every_row_a_status(params, payoff):
+    doc = dict(NIG_ASIAN_BOTH_MEASURES, params=params, payoff=payoff, n_paths=BLOCK_SIZE + 5, workers=2)
+    rows = run_experiment(parse_config(json.dumps(doc)))
+    assert [(row.measure, row.strike) for row in rows] == [
+        (m, k) for m in ("esscher", "mean_correct") for k in NIG_ASIAN_BOTH_MEASURES["strikes"]
+    ]
+    for row in rows:
+        assert row.status == "ok" or (row.measure == "esscher" and "Esscher" in row.status)
 
 
 def test_run_experiment_reports_measure_failure_as_row():
@@ -500,6 +554,26 @@ def test_non_finite_result_is_not_ok(tmp_path, capsys, s0):
     cfg_path.write_text(json.dumps(doc))
     assert main(["--config", str(cfg_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s0", [1e300, 1.7e308])
+def test_non_finite_block_results_combine_to_a_non_finite_row(s0):
+    # every block's squared deviations (and at 1.7e308 some spots) overflow; the
+    # combined result of all the blocks is still no result
+    doc = dict(NIG_ASIAN_BOTH_MEASURES, market={"s0": s0, "r": 0.1, "T": 1.0 / 12.0},
+               n_paths=2 * BLOCK_SIZE + 5, workers=2)
+    rows = run_experiment(parse_config(json.dumps(doc)))
+    assert len(rows) == 4 and all(row.status == "non-finite result" for row in rows)
+
+
+@pytest.mark.parametrize("doc", [NIG_ASIAN_BOTH_MEASURES, VG_BOTH_MEASURES], ids=["nig-asian", "vg-both-measures"])
+def test_run_experiment_csv_is_the_same_at_one_two_and_three_workers(doc):
+    texts = {
+        rows_to_csv_text(run_experiment(parse_config(json.dumps(dict(doc, n_paths=3 * BLOCK_SIZE + 7, workers=w)))))
+        for w in (1, 2, 3)
+    }
+    assert len(texts) == 1
 
 
 def test_cli_preset_flag_error_exits_one(capsys):

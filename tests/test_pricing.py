@@ -1,4 +1,5 @@
 """Payoffs, Monte Carlo estimator, and the NIG European closed form."""
+import functools
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from levymc.pricing import (
     _TAIL_QUAD,
     european_call_nig_closed,
     price_mc,
+    price_paths,
 )
-from levymc.sampling import PathGrid, PathSet, simulate_paths
+from levymc.sampling import BLOCK_SIZE, PathGrid, PathSet, simulate_paths
 from quad_reference import two_tail_price
 
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
@@ -82,6 +84,59 @@ def test_mc_result_std_error_is_np_std_bit_for_bit(n):
     result = McResult.from_discounted_payoffs(payoffs)
     assert result.estimate == float(np.mean(reference))
     assert result.std_error == float(np.std(reference, ddof=1) / math.sqrt(n))
+
+
+def _combined(payoffs, splits):
+    blocks = np.split(payoffs, np.cumsum(splits)[:-1])
+    return functools.reduce(McResult.combine, [McResult.from_discounted_payoffs(b.copy()) for b in blocks])
+
+
+@pytest.mark.parametrize("splits", [
+    [2, 3], [BLOCK_SIZE, 5], [7, 1, 300, 2], [BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE, 1], [1, 40_000], [40_000, 1],
+])
+def test_combined_blocks_equal_the_two_pass_result(splits):
+    # Chan, Golub & LeVeque's pairwise update against the mean and np.std(ddof=1) of all the payoffs at once
+    n = sum(splits)
+    payoffs = np.maximum(np.random.default_rng(n).standard_t(2.5, n) * 7.0, 0.0)
+    result = _combined(payoffs, splits)
+    mean, se = float(np.mean(payoffs)), float(np.std(payoffs, ddof=1) / math.sqrt(n))
+    assert result.n_paths == n
+    assert abs(result.estimate - mean) <= 4 * math.ulp(mean)
+    assert abs(result.std_error - se) <= 4 * math.ulp(se)
+    assert (result.ci_lo, result.ci_hi) == (result.estimate - 1.96 * result.std_error,
+                                            result.estimate + 1.96 * result.std_error)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.75, math.exp(-MARKET.r * MARKET.T)])
+def test_combined_constant_payoffs_have_zero_se(value):
+    result = _combined(np.full(2 * BLOCK_SIZE + 5, value), [BLOCK_SIZE, BLOCK_SIZE, 5])
+    assert result.estimate == pytest.approx(value, rel=1e-15)
+    # exact when every block's mean is the value; within rounding of the means otherwise
+    assert result.std_error <= 4 * math.ulp(value)
+    if value in (0.0, 0.75):
+        assert result.std_error == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overflowing", [[1.0, math.inf], [1e300, -1e300], [math.nan]])
+def test_an_overflowing_block_gives_a_non_finite_result(overflowing):
+    finite = McResult.from_discounted_payoffs(np.arange(5.0))
+    bad = McResult.from_discounted_payoffs(np.array(overflowing))
+    for result in (finite.combine(bad), bad.combine(finite), bad.combine(bad)):
+        assert not all(map(math.isfinite, (result.estimate, result.std_error, result.ci_lo, result.ci_hi)))
+
+
+@pytest.mark.parametrize("kind", [EUROPEAN_CALL, ASIAN_CALL])
+def test_block_by_block_pricing_is_pricing_all_paths_at_once(kind):
+    # price_mc prices each block as the walker hands it over; price_paths on the whole
+    # simulation takes the same slices, and any worker count gives the same numbers
+    rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
+    grid, n_paths = PathGrid(MARKET.T, 4 if kind == ASIAN_CALL else 1), 3 * BLOCK_SIZE + 7
+    discount = math.exp(-MARKET.r * MARKET.T)
+    whole = price_paths(simulate_paths(rnm, grid, n_paths, seed=59), kind, [34.0, 36.0], discount)
+    for workers in (1, 2, 3):
+        assert [price_mc(rnm, Payoff(kind, k), grid, n_paths, seed=59, workers=workers) for k in (34.0, 36.0)] == whole
+    assert [r.n_paths for r in whole] == [n_paths, n_paths]
 
 
 def test_price_mc_zero_strike_recovers_spot():
