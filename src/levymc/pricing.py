@@ -103,10 +103,10 @@ class McResult:
         """The result of this result's paths followed by ``later``'s.
 
         The pairwise update of Chan, Golub & LeVeque (1979): with d the
-        difference of the two estimates, the estimate moves by
-        d * n_later / n and ``m2`` gains d^2 * n * n_later / n over the two
-        ``m2``.  An inf or NaN in either gives an inf or NaN result, no
-        warning.
+        difference of the two estimates and n the paths of both, the
+        estimate moves by d * n_later / n, and ``m2`` is the two ``m2`` plus
+        d^2 * n_self * n_later / n.  An inf or NaN in either gives an inf or
+        NaN result, no warning.
         """
         n = self.n_paths + later.n_paths
         delta = later.estimate - self.estimate
