@@ -292,7 +292,11 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     alone.  European rows simulate one step of length T; Asian rows
     simulate the config's ``s`` monitoring steps.  A measure that fails to
     exist, or a non-finite price, SE or CI, yields a row whose status says
-    so.  Rows come in (measure, scheme, strike) order.
+    so.  Rows come in (measure, scheme, strike) order.  A NIG European config
+    priced under Esscher fills the ``closed_form`` column of its Esscher rows
+    from one ``european_call_nig_closed`` call on all its strikes; if any
+    strike fails (no measure, or a quadrature that does not converge), the
+    column stays empty for the whole config.
     """
     # a European payoff reads only the terminal spot, whose law is exact in one step of length T
     n_steps = 1 if cfg.payoff_kind == EUROPEAN_CALL else cfg.n_steps
@@ -302,7 +306,7 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     closed: dict[float, float] = {}
     if cfg.model == "nig" and cfg.payoff_kind == EUROPEAN_CALL and ESSCHER in cfg.measures:
         try:
-            closed = {k: european_call_nig_closed(cfg.params, cfg.market, k) for k in cfg.strikes}
+            closed = dict(zip(cfg.strikes, european_call_nig_closed(cfg.params, cfg.market, cfg.strikes)))
         except (MeasureExistenceError, QuadratureError):
             pass  # benchmark column stays empty; a missing measure also fails the row status
 

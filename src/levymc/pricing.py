@@ -171,8 +171,10 @@ def price_mc(
     return results[0]
 
 
-def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) -> float:
-    """European call under the NIG Esscher measure, as one payoff integral.
+def european_call_nig_closed(
+    p: NigParams, market: MarketData, strike: float | Sequence[float]
+) -> float | list[float]:
+    """European call under the NIG Esscher measure, as one payoff integral per strike.
 
     With f* the NIG(alpha, beta*, mu*T, delta*T) density, K' = exp(-r*T)*K and
     b = log(K'/S0), C0 = integral over y > b of (S0*exp(y) - K') f*(y) dy: the
@@ -184,33 +186,64 @@ def european_call_nig_closed(p: NigParams, market: MarketData, strike: float) ->
     C0 = (S0 - K') + K' * integral over y < b of -expm1(y - b) f*(y), the put.
     Each integrand is a density times a factor in [0, 1], so nothing
     overflows, and f+ keeps its tail where f* alone has underflowed.
+
+    A float strike gives a float.  A sequence of strikes gives the list of
+    their prices, in strike order, from one Esscher solve and one batched
+    ``integrate`` call, whose rounds each evaluate at most one density per
+    side (call and put) on the nodes of every strike; each price is bit for
+    bit the float call's.
     """
-    if not 0 <= strike < math.inf:
-        raise ValueError(f"strike must be finite and >= 0, got {strike}")
-    if strike == 0.0:
-        return market.s0
+    scalar = np.ndim(strike) == 0
+    strikes = [float(strike)] if scalar else [float(k) for k in strike]
+    for k in strikes:
+        if not 0 <= k < math.inf:
+            raise ValueError(f"strike must be finite and >= 0, got {k}")
+    prices = [market.s0] * len(strikes)  # a zero strike is the spot, whatever the measure
+    priced = [i for i, k in enumerate(strikes) if k > 0.0]
+    if priced:
+        values = _closed_form_prices(p, market, [strikes[i] for i in priced])
+        for i, value in zip(priced, values):
+            prices[i] = value
+    return prices[0] if scalar else prices
+
+
+def _closed_form_prices(p: NigParams, market: MarketData, strikes: list[float]) -> list[float]:
+    """``european_call_nig_closed`` at the positive ``strikes``, in one batched quadrature."""
     tilt = nig_esscher(p).risk_neutral_params
     if not abs(tilt.beta + 1.0) < p.alpha:
         raise MeasureExistenceError(
             f"closed form undefined: |beta* + 1| = {abs(tilt.beta + 1.0):g} reaches alpha = {p.alpha:g}"
         )
+    tilt_up = replace(tilt, beta=tilt.beta + 1.0)
     T = market.T
-    discounted_strike = math.exp(-market.r * T) * strike
-    # log(K'/S0), finite where K' or K/S0 underflows
-    boundary = math.log(strike) - math.log(market.s0) - market.r * T
     mu_t, delta_t = p.mu * T, p.delta * T
-    u = (boundary - mu_t) / delta_t
-    if boundary >= nig_mean_rate(tilt) * T:
-        tilt_up = replace(tilt, beta=tilt.beta + 1.0)
+    # log(K'/S0), finite where K' or K/S0 underflows
+    boundaries = [math.log(k) - math.log(market.s0) - market.r * T for k in strikes]
+    u = [(boundary - mu_t) / delta_t for boundary in boundaries]
+    call = [boundary >= nig_mean_rate(tilt) * T for boundary in boundaries]
+    is_call = np.array(call)
+    # -expm1(b - y) on the call side, -expm1(y - b) on the put side: y - b is -(b - y)
+    # exactly, but for the sign of a zero, which no sum below can show
+    side, boundary_of = np.where(is_call, 1.0, -1.0), np.array(boundaries)
 
-        def call_u(v: np.ndarray) -> np.ndarray:
-            y = mu_t + delta_t * v
-            return -np.expm1(boundary - y) * delta_t * nig_density(tilt_up, y, T)
-
-        return market.s0 * integrate(call_u, u, math.inf, _TAIL_QUAD)
-
-    def put_u(v: np.ndarray) -> np.ndarray:
+    def payoff_u(v: np.ndarray, which: np.ndarray) -> np.ndarray:
         y = mu_t + delta_t * v
-        return -np.expm1(y - boundary) * delta_t * nig_density(tilt, y, T)
+        factor = -np.expm1(side[which] * (boundary_of[which] - y)) * delta_t
+        up = is_call[which]
+        density = np.empty_like(y)
+        for mask, params in ((up, tilt_up), (~up, tilt)):
+            if mask.any():
+                density[mask] = nig_density(params, y[mask], T)
+        return factor * density
 
-    return (market.s0 - discounted_strike) + discounted_strike * integrate(put_u, -math.inf, u, _TAIL_QUAD)
+    lower = np.where(is_call, u, -math.inf)
+    upper = np.where(is_call, math.inf, u)
+    integrals = integrate(payoff_u, lower, upper, _TAIL_QUAD).tolist()
+    prices = []
+    for k, above_mean, integral in zip(strikes, call, integrals):
+        if above_mean:
+            prices.append(market.s0 * integral)
+        else:
+            discounted_strike = math.exp(-market.r * T) * k
+            prices.append((market.s0 - discounted_strike) + discounted_strike * integral)
+    return prices

@@ -110,22 +110,26 @@ _WG = np.array([
 
 # dqk21 adds the centre, then the Gauss pairs xgk[1], xgk[3], ..., xgk[9], then the others
 _ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
+_XGK_ORDERED = _XGK[_ORDER]
 _WGK_ORDERED = np.concatenate([_WGK[10:], _WGK[_ORDER]])
 
 
-def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gk21(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, group: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The Kronrod estimate and the |Kronrod - Gauss| gap on every [a[i], b[i]], from one call of ``f``.
 
+    ``f`` gets the nodes and, for each node, the ``group`` of its interval.
     The nodes are dqk21's and its sums run in its order (``accumulate`` adds
     left to right), so an interval's estimate is the one
     ``scipy.integrate.quad`` computes on it.
     """
     centr = 0.5 * (a + b)[:, None]
     hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK[_ORDER]
+    absc = hlgth[:, None] * _XGK_ORDERED
     nodes = np.concatenate([centr, centr - absc, centr + absc], axis=1)
     fv = np.empty(nodes.shape)
-    fv.reshape(-1)[...] = f(nodes.reshape(-1))  # a scalar f broadcasts
+    fv.reshape(-1)[...] = f(nodes.reshape(-1), np.repeat(group, nodes.shape[1]))  # a scalar f broadcasts
     # fv[:, 0] is f at the centre; columns 1..10 become f(centr - absc) + f(centr + absc)
     np.add(fv[:, 1:11], fv[:, 11:], out=fv[:, 1:11])
     resg = np.add.accumulate(_WG * fv[:, 1:6], axis=1)[:, -1]
@@ -133,84 +137,194 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -
     return resk * hlgth, np.abs((resk - resg) * hlgth)
 
 
-def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges: list[float], spec: QuadratureSpec) -> np.ndarray:
-    """The integral of ``f`` over each panel [edges[i], edges[i + 1]], by adaptive GK21.
+def _integrate_panels(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, group: np.ndarray,
+    spec: QuadratureSpec,
+) -> np.ndarray:
+    """The integral of ``f`` over each panel [a[i], b[i]], by adaptive GK21, every group in one partition.
 
-    Each round calls ``f`` once, on the 21 nodes of every interval still
-    open.  An interval is done when its gap is within its share, by width,
-    of max(abs_tol, rel_tol * |total|); every other one is bisected.  More
-    than ``max_subdivisions`` intervals in the partition raises QuadratureError.
+    ``group`` numbers the panels' groups 0, 1, ... in panel order, the
+    panels of a group adjacent and in order.  Each round calls ``f`` once,
+    on the 21 nodes of every interval still open, with each node's group.
+    An interval is done when its gap is within its share, by width of its
+    group's span, of max(abs_tol, rel_tol * |total|), the total its group's
+    alone; every other one is bisected.  A group's intervals keep the order
+    they would have if it were refined alone, so its sums, and its
+    integrals, are bit for bit that refinement's.  More than
+    ``max_subdivisions`` intervals in one group raises QuadratureError.
     """
-    edges_arr = np.asarray(edges, dtype=float)
-    a, b = edges_arr[:-1], edges_arr[1:]
+    n_groups = int(group[-1]) + 1
+    first = np.searchsorted(group, np.arange(n_groups + 1))  # group g is panels first[g]:first[g + 1]
+    starts, ends = a[first[:-1]], b[first[1:] - 1]
+    span = (ends - starts)[group]
+    n_intervals = np.diff(first)
+    first = first.tolist()
     panel = np.arange(len(a))
     done = np.zeros(len(a))
-    span = edges_arr[-1] - edges_arr[0]
-    n_intervals = len(a)
     while True:
-        kronrod, gap = _gk21(f, a, b)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(float(np.sum(done) + np.sum(kronrod))))
+        kronrod, gap = _gk21(f, a, b, group)
+        # a group's total is np.sum of its panels' done parts plus np.sum of its open estimates,
+        # the sums it would take alone
+        tol = np.empty(len(a))
+        cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(a)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            g = int(group[lo])
+            total = done[first[g]:first[g + 1]].sum() + kronrod[lo:hi].sum()
+            tol[lo:hi] = max(spec.abs_tol, spec.rel_tol * abs(float(total)))
         split = ~(gap <= tol * ((b - a) / span))  # a NaN gap is not converged
         np.add.at(done, panel[~split], kronrod[~split])
         if not split.any():
             return done
-        n_intervals += int(np.count_nonzero(split))
-        if n_intervals > spec.max_subdivisions:
+        n_intervals += np.bincount(group[split], minlength=n_groups)
+        if n_intervals.max() > spec.max_subdivisions:
+            g = int(np.argmax(n_intervals > spec.max_subdivisions))
             raise QuadratureError(
-                f"quadrature on [{edges[0]}, {edges[-1]}] did not converge within "
+                f"quadrature on [{starts[g]}, {ends[g]}] did not converge within "
                 f"{spec.max_subdivisions} subintervals"
             )
-        a, b, panel = a[split], b[split], panel[split]
+        a, b, panel, group, span = a[split], b[split], panel[split], group[split], span[split]
         mid = 0.5 * (a + b)
-        a, b, panel = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([panel, panel])
+        # each group's left halves, then its right halves
+        order = np.argsort(np.concatenate([group, group]), kind="stable")
+        a, b = np.concatenate([a, mid])[order], np.concatenate([mid, b])[order]
+        panel, group = np.concatenate([panel, panel])[order], np.concatenate([group, group])[order]
+        span = np.concatenate([span, span])[order]
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray], lower: float, upper: float, spec: QuadratureSpec | None = None
-) -> float:
-    """Adaptive Gauss-Kronrod quadrature of ``f`` over [lower, upper]; either end may be infinite.
+@dataclass
+class _Tail:
+    """A semi-infinite piece from ``start``: its doubling panels so far, their sum, and where the next one starts."""
 
-    ``f`` takes a 1-d array of nodes and returns its values there, an array
-    of the same shape (or a scalar, which is broadcast).  A finite range is
-    refined in rounds, one call of ``f`` per round on every open interval.
-    Semi-infinite tails are handled by doubling panels until the panel
-    contribution falls below ``tail_truncation_mass`` relative to the running
-    total, which terminates quickly for the exponentially decaying integrands
-    used here; the rule cannot stop before the fourth panel, so the first
-    four are refined together.  Non-convergence raises QuadratureError rather
-    than returning a silently wrong value.
+    start: float
+    edge: float
+    width: float
+    panels: int = 0
+    total: float = 0.0
+
+    def advance(self) -> float:
+        """The end of the next panel, which starts at ``edge``; the panel after it is twice as wide."""
+        self.edge += self.width
+        self.width *= 2.0
+        return self.edge
+
+    def add(self, values: list[float], spec: QuadratureSpec) -> bool:
+        """Sum the next panels in order; True once one falls below the truncation threshold."""
+        for value in values:
+            if self.panels == spec.max_subdivisions:
+                break
+            self.panels += 1
+            self.total += value
+            scale = max(abs(self.total), spec.abs_tol)
+            # panel n is 2**n times the first one's width, so n >= 3 is width > 4 * max(1, |start|)
+            if self.panels > 3 and abs(value) <= spec.tail_truncation_mass * scale:
+                return True
+        return False
+
+
+def _pieces(lo: float, hi: float) -> list[tuple[float, float, float]]:
+    """[lo, hi] as (sign, start, end) pieces, each the integral over [start, end] of f(sign * node).
+
+    An infinite lower limit is reflected: (-inf, hi] is [-hi, inf) at -node.
+    The whole line is (-inf, 0] then [0, inf); a zero-width range has no piece.
     """
-    spec = spec or QuadratureSpec()
-    lo, hi = float(lower), float(upper)
     if lo > hi:
         raise ValueError("lower must be <= upper")
     if math.isinf(lo) and math.isinf(hi):
-        return integrate(f, lo, 0.0, spec) + integrate(f, 0.0, hi, spec)
+        return _pieces(lo, 0.0) + _pieces(0.0, hi)
     if math.isinf(lo):
-        return integrate(lambda u: f(-u), -hi, math.inf, spec)
-    if not math.isinf(hi):
-        return float(_integrate_panels(f, [lo, hi], spec)[0]) if hi > lo else 0.0
+        return [(-1.0, -hi, math.inf)]
+    return [(1.0, lo, hi)] if hi > lo else []
 
-    # [lo, inf): doubling panels; the rule below cannot stop before the fourth,
-    # so the first four are refined together
-    width = max(1.0, abs(lo))
-    edges = [lo]
-    for _ in range(4):
-        edges.append(edges[-1] + width)
-        width *= 2.0
-    pieces = _integrate_panels(f, edges, spec).tolist()
-    total = 0.0
-    for n in range(spec.max_subdivisions):
-        if n == len(pieces):
-            edges.append(edges[-1] + width)
-            width *= 2.0
-            pieces.append(float(_integrate_panels(f, edges[-2:], spec)[0]))
-        total += pieces[n]
-        scale = max(abs(total), spec.abs_tol)
-        # panel n is 2**n times the first one's width, so n >= 3 is width > 4 * max(1, |lo|)
-        if n >= 3 and abs(pieces[n]) <= spec.tail_truncation_mass * scale:
-            return total
-    raise QuadratureError(
-        f"semi-infinite tail from {lower} did not decay below the truncation "
-        f"threshold within {spec.max_subdivisions} doubling panels"
-    )
+
+def integrate(f: Callable, lower, upper, spec: QuadratureSpec | None = None):
+    """Adaptive Gauss-Kronrod quadrature of ``f`` over [lower, upper]; either end may be infinite.
+
+    With float limits, ``f`` takes a 1-d array of nodes and returns its
+    values there, an array of the same shape (or a scalar, which is
+    broadcast), and the integral is a float.  With 1-d arrays of limits (a
+    float broadcasts against an array), every range [lower[i], upper[i]] is
+    refined in one partition and the result is the array of their
+    integrals: ``f(nodes, which)`` then also gets ``which``, the index of
+    each node's range, and each round calls it once, on the nodes of every
+    range still open.  Each range keeps its own tolerance, stopping rule
+    and order of summation, so its integral is bit for bit the one the
+    float call on that range returns.
+
+    A finite range is refined in rounds, one call of ``f`` per round on
+    every open interval.  Semi-infinite tails are handled by doubling panels
+    until the panel contribution falls below ``tail_truncation_mass``
+    relative to the running total, which terminates quickly for the
+    exponentially decaying integrands used here; the rule cannot stop
+    before the fourth panel, so the first four panels of every tail are
+    refined together, with the finite ranges, and each later doubling step
+    refines together the next panel of every tail still open.
+    Non-convergence raises QuadratureError rather than returning a silently
+    wrong value.
+    """
+    spec = spec or QuadratureSpec()
+    if np.ndim(lower) == 0 and np.ndim(upper) == 0:
+        return _integrate_ranges(lambda nodes, which: f(nodes), [float(lower)], [float(upper)], spec)[0]
+    lo, hi = np.broadcast_arrays(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+    if lo.ndim != 1:
+        raise ValueError(f"limits must be floats or 1-d arrays, got shape {lo.shape}")
+    return np.array(_integrate_ranges(f, lo.tolist(), hi.tolist(), spec))
+
+
+def _integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lower: list[float], upper: list[float],
+                      spec: QuadratureSpec) -> list[float]:
+    """The integral over each [lower[i], upper[i]], with ``f(nodes, which)`` as ``integrate`` calls it."""
+    owner, sign, tails = [], [], {}
+    panel_piece, panel_lo, panel_hi = [], [], []  # the panels of the next step, in piece order
+    for i, (lo, hi) in enumerate(zip(lower, upper)):
+        for piece_sign, piece_start, piece_end in _pieces(lo, hi):
+            j = len(owner)
+            owner.append(i)
+            sign.append(piece_sign)
+            if math.isinf(piece_end):
+                tail = tails[j] = _Tail(piece_start, piece_start, max(1.0, abs(piece_start)))
+                for _ in range(4):
+                    panel_piece.append(j)
+                    panel_lo.append(tail.edge)
+                    panel_hi.append(tail.advance())
+            else:
+                panel_piece.append(j)
+                panel_lo.append(piece_start)
+                panel_hi.append(piece_end)
+    owner_arr, sign_arr = np.array(owner, dtype=int), np.array(sign)
+    pieces = [0.0] * len(owner)
+    # each step refines one partition: first every finite piece's one panel and the first four
+    # doubling panels of every tail, then the next panel of every tail still open
+    while panel_piece:
+        members, group = [], []  # each group's piece; each panel's group
+        for j in panel_piece:
+            if not members or members[-1] != j:
+                members.append(j)
+            group.append(len(members) - 1)
+        member_sign, member_owner = sign_arr[members], owner_arr[members]
+        done = _integrate_panels(
+            lambda nodes, g: f(nodes * member_sign[g], member_owner[g]),
+            np.array(panel_lo), np.array(panel_hi), np.array(group), spec,
+        ).tolist()
+        values: dict[int, list[float]] = {}
+        for j, value in zip(panel_piece, done):
+            values.setdefault(j, []).append(value)
+        panel_piece, panel_lo, panel_hi = [], [], []
+        for j, piece_values in values.items():
+            tail = tails.get(j)
+            if tail is None:
+                pieces[j] = piece_values[0]
+            elif tail.add(piece_values, spec):
+                pieces[j] = tail.total
+            elif tail.panels == spec.max_subdivisions:
+                raise QuadratureError(
+                    f"semi-infinite tail from {tail.start} did not decay below the truncation "
+                    f"threshold within {spec.max_subdivisions} doubling panels"
+                )
+            else:
+                panel_piece.append(j)
+                panel_lo.append(tail.edge)
+                panel_hi.append(tail.advance())
+    integrals = [0.0] * len(lower)
+    for i, value in zip(owner, pieces):
+        integrals[i] += value
+    return integrals

@@ -11,6 +11,7 @@ form integrates in a different form.
 """
 import math
 
+import numpy as np
 import scipy.integrate
 
 from levymc.levy_models import NigParams, nig_density
@@ -31,8 +32,19 @@ def _quad_finite(f, a: float, b: float, spec: QuadratureSpec) -> float:
     return value
 
 
-def reference_integrate(f, lower: float, upper: float, spec: QuadratureSpec | None = None) -> float:
-    """Adaptive quadrature of the scalar integrand ``f`` over [lower, upper]; either end may be infinite."""
+def reference_integrate(f, lower, upper, spec: QuadratureSpec | None = None):
+    """Adaptive quadrature of the scalar integrand ``f`` over [lower, upper]; either end may be infinite.
+
+    With 1-d arrays of limits, ``f(nodes, which)`` is integrand of every
+    range as ``integrate`` takes it; each range is integrated alone, its
+    integrand called on one node at a time.
+    """
+    if np.ndim(lower) or np.ndim(upper):
+        lows, highs = np.broadcast_arrays(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+        return np.array([
+            reference_integrate(lambda x, i=i: float(f(np.array([x]), np.array([i]))[0]), lo, hi, spec)
+            for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist()))
+        ])
     spec = spec or QuadratureSpec()
     lo, hi = float(lower), float(upper)
     if lo > hi:

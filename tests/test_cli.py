@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,7 @@ def test_run_experiment_simulates_the_steps_its_payoff_reads(monkeypatch, payoff
 
 # both VG measures and both schemes at the vg-lecuyer parameters: each scheme
 # shares its draws across the measures
+NIG_SURFACE_SHORT = Path(__file__).parent / "configs" / "nig-surface-short.json"
 VG_BOTH_MEASURES = json.loads((Path(__file__).parent / "configs" / "vg-lecuyer-both-measures.json").read_text())
 # the same model in the subordinated spelling: x0 = 0, lambda = gamma = 1/nu
 VG_SUBORDINATED = json.loads((Path(__file__).parent / "configs" / "vg-lecuyer-subordinated.json").read_text())
@@ -623,6 +625,25 @@ def test_closed_form_prices_deep_in_the_money(monkeypatch, s0):
     expected = s0 - math.exp(-market["r"] * market["T"]) * MINIMAL_NIG["strikes"][0]
     assert [row.status for row in rows] == ["ok"]
     assert rows[0].closed_form == pytest.approx(expected, rel=1e-15)
+
+
+def test_run_experiment_prices_the_closed_form_once_per_config(monkeypatch):
+    # all strikes of a config in one call; each column entry is the strike's price alone
+    calls = []
+    closed_form = cli.european_call_nig_closed
+
+    def recording(p, market, strikes):
+        calls.append(strikes)
+        return closed_form(p, market, strikes)
+
+    monkeypatch.setattr(cli, "european_call_nig_closed", recording)
+    configs = PRESETS["nig-table"]() + [parse_config(NIG_SURFACE_SHORT.read_text())]
+    rows = [row for cfg in configs for row in run_experiment(replace(cfg, n_paths=200))]
+    assert calls == [cfg.strikes for cfg in configs]
+    assert [row.closed_form for row in rows] == [
+        closed_form(cfg.params, cfg.market, k) for cfg in configs for k in cfg.strikes
+    ]
+    assert all(row.status == "ok" for row in rows)
 
 
 def test_closed_form_is_not_priced_without_esscher(monkeypatch):

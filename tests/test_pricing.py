@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levymc.levy_models import NigParams, nig_mean_rate
-from levymc.measures import ESSCHER, MarketData, nig_esscher, risk_neutralize
+from levymc import pricing
+from levymc.measures import ESSCHER, MarketData, MeasureExistenceError, nig_esscher, risk_neutralize
 from levymc.pricing import (
     ASIAN_CALL,
     EUROPEAN_CALL,
@@ -279,6 +280,99 @@ def test_closed_form_agrees_with_mc():
         closed = european_call_nig_closed(NIG_BENCH, MARKET, strike)
         mc = price_mc(rnm, Payoff(EUROPEAN_CALL, strike), grid, 200_000, seed=29)
         assert abs(closed - mc.estimate) <= 3.0 * mc.std_error
+
+
+# the benchmark surface: 26 maturities from one week to a year, two rates, strikes 30 to 42
+SURFACE_MARKETS = [
+    MarketData(s0=36.0, r=r, T=float(t)) for t in np.linspace(1.0 / 52.0, 1.0, 26) for r in (0.05, 0.1)
+]
+SURFACE_STRIKES = [float(k) for k in range(30, 43, 2)]
+_HEAVY_RIGHT_TAIL = NigParams(alpha=2.0, beta=0.0, mu=-1.5, delta=1.0)  # alpha - beta* = 1.014
+
+
+def _hex(prices) -> list[str]:
+    return [float(price).hex() for price in prices]
+
+
+def test_closed_form_on_the_surface_strikes_equals_each_strike_alone():
+    for market in SURFACE_MARKETS:
+        batched = european_call_nig_closed(NIG_BENCH, market, SURFACE_STRIKES)
+        assert type(batched) is list and all(type(price) is float for price in batched)
+        alone = [european_call_nig_closed(NIG_BENCH, market, k) for k in SURFACE_STRIKES]
+        assert _hex(batched) == _hex(alone), market
+
+
+def _mean_boundary_strike(p: NigParams, market: MarketData) -> float:
+    """The strike whose boundary is the Esscher mean: the closed form's call side starts there."""
+    return _strike_at(nig_mean_rate(nig_esscher(p).risk_neutral_params) * market.T, market)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, market, strikes", [
+    pytest.param(NIG_BENCH, MARKET, [0.0, 34.0, 0.0, 38.0], id="zero-strikes-among-others"),
+    pytest.param(NIG_BENCH, MARKET, [0.0], id="zero-strike-alone"),
+    pytest.param(NIG_BENCH, MarketData(s0=1e300, r=0.1, T=1.0 / 12.0), [34.0, 1e-30, 1e10], id="deep-itm-s0-1e300"),
+    pytest.param(_HEAVY_RIGHT_TAIL, MarketData(s0=1.0, r=0.0, T=1.0), [0.5, 1.0, 3.0, 20.0], id="heavy-right-tail"),
+    pytest.param(NIG_BENCH, MARKET, [36.5, 37.0, 40.0, 45.0], id="call-side-only"),
+    pytest.param(NIG_BENCH, MARKET, [20.0, 30.0, 33.0, 35.5], id="put-side-only"),
+])
+def test_closed_form_on_a_sequence_equals_each_strike_alone(p, market, strikes):
+    batched = european_call_nig_closed(p, market, strikes)
+    assert _hex(batched) == _hex(european_call_nig_closed(p, market, k) for k in strikes)
+    assert _hex(european_call_nig_closed(p, market, tuple(strikes))) == _hex(batched)
+
+
+def test_closed_form_one_side_cases_lie_on_one_side():
+    # the call-side-only and put-side-only cases above do what their names say
+    pivot = _mean_boundary_strike(NIG_BENCH, MARKET)
+    assert 35.5 < pivot < 36.5
+
+
+def test_closed_form_rounds_evaluate_at_most_one_density_per_side(monkeypatch):
+    # one Esscher solve and one batched quadrature for all strikes; each integrand
+    # call (a round) evaluates the beta* density and the beta* + 1 density at most once
+    rounds: list[list[float]] = []
+    solves = []
+    density, batched_integrate, esscher = pricing.nig_density, pricing.integrate, pricing.nig_esscher
+
+    def recording_integrate(f, lower, upper, spec):
+        def round_(v, which):
+            rounds.append([])
+            return f(v, which)
+        return batched_integrate(round_, lower, upper, spec)
+
+    def recording_density(params, x, t):
+        rounds[-1].append(params.beta)
+        return density(params, x, t)
+
+    monkeypatch.setattr(pricing, "integrate", recording_integrate)
+    monkeypatch.setattr(pricing, "nig_density", recording_density)
+    monkeypatch.setattr(pricing, "nig_esscher", lambda p: solves.append(p) or esscher(p))
+    prices = european_call_nig_closed(NIG_BENCH, MarketData(s0=36.0, r=0.05, T=1.0 / 52.0), SURFACE_STRIKES)
+    assert len(prices) == len(SURFACE_STRIKES) and len(solves) == 1
+    assert rounds and all(len(betas) == len(set(betas)) <= 2 for betas in rounds)
+    assert {beta for betas in rounds for beta in betas} == {NIG_ESSCHER.beta, NIG_ESSCHER.beta + 1.0}
+
+
+def test_closed_form_on_a_sequence_fails_as_a_whole():
+    with pytest.raises(ValueError, match="strike must be finite and >= 0"):
+        european_call_nig_closed(NIG_BENCH, MARKET, [34.0, math.nan])
+    no_esscher = NigParams(alpha=1.0, beta=0.0, mu=10.0, delta=0.01)
+    with pytest.raises(MeasureExistenceError):
+        european_call_nig_closed(no_esscher, MARKET, [34.0, 36.0])
+    # a zero strike needs no measure, alone or with other zero strikes
+    assert european_call_nig_closed(no_esscher, MARKET, [0.0, 0.0]) == [MARKET.s0, MARKET.s0]
+    assert european_call_nig_closed(NIG_BENCH, MARKET, []) == []
+
+
+def test_closed_form_on_every_fourth_surface_config_matches_two_tail_quadrature():
+    # 13 of the 52 surface configs, 91 cells: the quadrature itself, at 1e-12 * (S0 + K),
+    # where the Monte Carlo band (6 SE + 2e-3) cannot see it
+    for market in SURFACE_MARKETS[::4]:
+        prices = european_call_nig_closed(NIG_BENCH, market, SURFACE_STRIKES)
+        for strike, price in zip(SURFACE_STRIKES, prices):
+            reference = two_tail_price(NIG_BENCH, market, strike)
+            assert abs(price - reference) <= 1e-12 * (market.s0 + strike), (market, strike)
 
 
 @pytest.fixture(scope="module")

@@ -193,3 +193,90 @@ def test_bessel_k_vectorized():
     vals = np.exp(log_bessel_k(1.0, xs))
     assert vals.shape == xs.shape
     assert vals[1] == pytest.approx(0.6019072301972346, rel=1e-12)
+
+
+# one range of each kind: finite, zero-width, [a, inf), (-inf, b], the whole line, and a
+# finite and a tail range that need bisection and later doubling panels
+_RANGES = [(0.0, 1.0), (2.0, 2.0), (0.5, math.inf), (-math.inf, 1.5), (-math.inf, math.inf), (-3.0, 7.0),
+           (-2.0, math.inf), (-1e-3, -1e-3)]
+_RATE = np.array([1.0, 1.0, 0.7, 2.0, 0.5, 0.3, 0.04, 1.0])
+_FREQ = np.array([0.0, 0.0, 3.0, 0.0, 1.0, 25.0, 0.5, 0.0])
+_ARRAY_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400, tail_truncation_mass=1e-11)
+
+
+def _ranges_integrand(x, which):
+    # range i's integrand is exp(-rate_i |x|) (1 + cos(freq_i x)), its parameters looked up by ``which``
+    return np.exp(-_RATE[which] * np.abs(x)) * (1.0 + np.cos(_FREQ[which] * x))
+
+
+def _range_integrand(i):
+    return lambda x: _ranges_integrand(x, np.full(np.shape(x), i))
+
+
+def test_integrate_array_limits_equal_the_float_call_on_each_range_bit_for_bit():
+    lower, upper = zip(*_RANGES)
+    batched = integrate(_ranges_integrand, np.array(lower), np.array(upper), _ARRAY_SPEC)
+    alone = [integrate(_range_integrand(i), lo, hi, _ARRAY_SPEC) for i, (lo, hi) in enumerate(_RANGES)]
+    assert isinstance(batched, np.ndarray) and batched.shape == (len(_RANGES),)
+    assert [float(v).hex() for v in batched] == [v.hex() for v in alone]
+    assert batched[1] == batched[7] == 0.0
+    # the ranges in another order, and each range alone in an array, give the same bits
+    order = [5, 0, 7, 3, 6, 1, 4, 2]
+    permuted = integrate(lambda x, which: _ranges_integrand(x, np.array(order)[which]),
+                         np.array(lower)[order], np.array(upper)[order], _ARRAY_SPEC)
+    assert [float(v).hex() for v in permuted] == [alone[i].hex() for i in order]
+    for i, (lo, hi) in enumerate(_RANGES):
+        one = integrate(lambda x, which: _range_integrand(i)(x), [lo], [hi], _ARRAY_SPEC)
+        assert float(one[0]).hex() == alone[i].hex()
+
+
+def test_integrate_array_limits_broadcast_a_float_limit():
+    starts = np.array([0.0, 0.5, 2.0])
+    batched = integrate(lambda x, which: np.exp(-x), starts, math.inf)
+    assert [float(v).hex() for v in batched] == [integrate(lambda x: np.exp(-x), s, math.inf).hex() for s in starts]
+
+
+def test_integrate_array_limits_call_the_integrand_once_per_round():
+    # five copies of one tail refine in lockstep: as many calls as one copy alone,
+    # each on the nodes of every copy
+    calls = []
+
+    def recording(x, which):
+        calls.append(np.unique(which).tolist())
+        return np.exp(-x)
+
+    integrate(recording, np.zeros(5), math.inf)
+    alone = []
+    integrate(lambda x: alone.append(None) or np.exp(-x), 0.0, math.inf)
+    assert len(calls) == len(alone) >= 2
+    assert calls == [[0, 1, 2, 3, 4]] * len(alone)
+
+
+def test_integrate_array_limits_skip_zero_width_ranges():
+    seen = set()
+
+    def recording(x, which):
+        seen.update(which.tolist())
+        return np.ones_like(x)
+
+    assert integrate(recording, [0.0, 1.0, 2.0], [1.0, 1.0, 4.0]).tolist() == [1.0, 0.0, 2.0]
+    assert seen == {0, 2}
+    assert integrate(recording, np.array([]), np.array([])).shape == (0,)
+
+
+def test_integrate_array_limits_report_a_range_that_cannot_converge():
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8, tail_truncation_mass=1e-12)
+    singular = lambda x, which: np.where(which == 1, np.abs(x) ** -0.9, np.exp(-x))
+    with pytest.raises(QuadratureError, match="did not converge within 8 subintervals"):
+        integrate(singular, [0.0, 1e-12], [1.0, 1.0], spec)
+    # a tail that never decays below the truncation threshold
+    flat = lambda x, which: np.where(which == 0, np.exp(-x), 1.0)
+    with pytest.raises(QuadratureError, match="did not decay below the truncation threshold within 8"):
+        integrate(flat, [0.0, 0.0], math.inf, spec)
+
+
+def test_integrate_array_limits_validate_their_shape_and_order():
+    with pytest.raises(ValueError, match="lower must be <= upper"):
+        integrate(lambda x, which: x, [0.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="1-d arrays"):
+        integrate(lambda x, which: x, np.zeros((2, 2)), 1.0)
