@@ -25,7 +25,7 @@ __all__ = [
 EUROPEAN_CALL = "european_call"
 ASIAN_CALL = "asian_arithmetic_call"
 
-_TAIL_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-10, max_subdivisions=400, tail_truncation_mass=1e-9)
+_TAIL_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-10, max_subdivisions=400)
 
 
 @dataclass(frozen=True)
@@ -58,28 +58,27 @@ class McResult:
 
     ``m2`` is the sum of the squared deviations of the discounted payoffs
     from the estimate: with ``n_paths`` and the estimate, it is all that
-    ``combine`` needs to add further paths.
+    ``combine`` needs to add further paths, and the standard error and the
+    interval are derived from the three.
     """
 
     estimate: float
-    std_error: float
-    ci_lo: float
-    ci_hi: float
     n_paths: int
     m2: float
 
-    @classmethod
-    def _from_moments(cls, n: int, estimate: float, m2: float) -> "McResult":
+    @property
+    def std_error(self) -> float:
         # Python floats: an inf or NaN moment gives an inf or NaN result, never a warning
-        std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-        return cls(
-            estimate=estimate,
-            std_error=std_error,
-            ci_lo=estimate - 1.96 * std_error,
-            ci_hi=estimate + 1.96 * std_error,
-            n_paths=n,
-            m2=m2,
-        )
+        n = self.n_paths
+        return math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+
+    @property
+    def ci_lo(self) -> float:
+        return self.estimate - 1.96 * self.std_error
+
+    @property
+    def ci_hi(self) -> float:
+        return self.estimate + 1.96 * self.std_error
 
     @classmethod
     def from_discounted_payoffs(cls, discounted: np.ndarray) -> "McResult":
@@ -97,7 +96,7 @@ class McResult:
                 np.subtract(discounted, estimate, out=discounted)
                 np.square(discounted, out=discounted)
                 m2 = float(np.sum(discounted))
-        return cls._from_moments(n, estimate, m2)
+        return cls(estimate=estimate, n_paths=n, m2=m2)
 
     def combine(self, later: "McResult") -> "McResult":
         """The result of this result's paths followed by ``later``'s.
@@ -112,7 +111,7 @@ class McResult:
         delta = later.estimate - self.estimate
         estimate = self.estimate + delta * (later.n_paths / n)
         m2 = self.m2 + later.m2 + delta * delta * (self.n_paths * later.n_paths / n)
-        return McResult._from_moments(n, estimate, m2)
+        return McResult(estimate=estimate, n_paths=n, m2=m2)
 
 
 def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], discount: float,

@@ -3,9 +3,11 @@
 The Bessel and gamma functions wrap ``scipy.special`` behind the small,
 explicit contracts the rest of the library relies on (error signalling
 instead of silent bad values).  ``integrate`` is QUADPACK's 21-point
-Gauss-Kronrod rule written in NumPy: its integrand takes an array of nodes,
-one call per refinement round, and semi-infinite ranges are cut off by a
-controlled tail truncation.
+Gauss-Kronrod rule written in NumPy.  One range's refinement is written once,
+as a generator that yields each round's open intervals; a driver refines every
+range of a call in lockstep, calling the integrand once per round on the nodes
+of every range still open.  Semi-infinite ranges are cut off by a controlled
+tail truncation.
 
 Only the ``scipy`` package is imported here; ``scipy.special`` loads on its
 first use, so importing levymc, or pricing by Monte Carlo alone, never loads
@@ -37,17 +39,16 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerance budget for adaptive quadrature.
 
-    ``tail_truncation_mass`` bounds the relative integral mass that may be
-    discarded when a semi-infinite interval is truncated; it must not exceed
-    ``rel_tol`` so truncation never dominates the error budget.
-    ``max_subdivisions`` caps both the intervals of one adaptive partition
-    and the number of doubling panels of a semi-infinite range.
+    ``rel_tol`` and ``abs_tol`` bound the error of each adaptive partition,
+    and ``rel_tol`` also bounds the relative integral mass discarded when a
+    semi-infinite range is truncated.  ``max_subdivisions`` caps both the
+    intervals of one adaptive partition and the number of doubling panels of
+    a semi-infinite range.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    tail_truncation_mass: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
@@ -56,8 +57,6 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be > 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not 0 < self.tail_truncation_mass <= self.rel_tol:
-            raise ValueError("tail_truncation_mass must lie in (0, rel_tol]")
 
 
 def log_bessel_k(order: float, x):
@@ -141,103 +140,80 @@ def _gk21(
     return resk * hlgth, np.abs((resk - resg) * hlgth)
 
 
-def _integrate_panels(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, group: np.ndarray,
-    spec: QuadratureSpec,
-) -> np.ndarray:
-    """The integral of ``f`` over each panel [a[i], b[i]], by adaptive GK21, every group in one partition.
+def _partition(edges: list[float], spec: QuadratureSpec):
+    """The integral over each panel between edges[i] and edges[i + 1], by adaptive GK21.
 
-    ``group`` numbers the panels' groups 0, 1, ... in panel order, the
-    panels of a group adjacent and in order.  Each round calls ``f`` once,
-    on the 21 nodes of every interval still open, with each node's group.
-    An interval is done when its gap is within its share, by width of its
-    group's span, of max(abs_tol, rel_tol * |total|), the total its group's
-    alone; every other one is bisected.  A group's intervals keep the order
-    they would have if it were refined alone, so its sums, and its
-    integrals, are bit for bit that refinement's.  More than
-    ``max_subdivisions`` intervals in one group raises QuadratureError.
+    The edges run up or, for a tail towards -inf, down.  A generator: each
+    round it yields the open intervals as arrays (a, b), low ends first, and
+    is sent back ``_gk21``'s estimates and gaps on them; it returns the
+    panels' integrals, signed as if every panel ran upwards.  An interval is
+    done when its gap is within its share, by width, of max(abs_tol, rel_tol
+    * |total|); every other one is bisected.  More than ``max_subdivisions``
+    intervals raises QuadratureError.
     """
-    n_groups = int(group[-1]) + 1
-    first = np.searchsorted(group, np.arange(n_groups + 1))  # group g is panels first[g]:first[g + 1]
-    starts, ends = a[first[:-1]], b[first[1:] - 1]
-    span = (ends - starts)[group]
-    n_intervals = np.diff(first)
-    first = first.tolist()
+    edges_arr = np.asarray(edges, dtype=float)
+    a, b = edges_arr[:-1], edges_arr[1:]
     panel = np.arange(len(a))
     done = np.zeros(len(a))
+    span = edges_arr[-1] - edges_arr[0]
+    n_intervals = len(a)
     while True:
-        kronrod, gap = _gk21(f, a, b, group)
-        # a group's total is np.sum of its panels' done parts plus np.sum of its open estimates,
-        # the sums it would take alone
-        tol = np.empty(len(a))
-        cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(a)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            g = int(group[lo])
-            total = done[first[g]:first[g + 1]].sum() + kronrod[lo:hi].sum()
-            tol[lo:hi] = max(spec.abs_tol, spec.rel_tol * abs(float(total)))
-        split = ~(gap <= tol * ((b - a) / span))  # a NaN gap is not converged
-        np.add.at(done, panel[~split], kronrod[~split])
-        if not split.any():
+        # edges that run down mirror -edges exactly (intervals, width ratios, midpoints, order), so
+        # (-inf, hi] gives bit for bit the integral of f(-u) over [-hi, inf)
+        kronrod, gap = yield (a, b) if span > 0 else (b, a)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(float(done.sum() + kronrod.sum())))
+        keep = gap <= tol * ((b - a) / span)  # a NaN gap is not converged
+        np.add.at(done, panel[keep], kronrod[keep])
+        split = ~keep
+        a, b, panel = a[split], b[split], panel[split]
+        if not len(a):
             return done
-        n_intervals += np.bincount(group[split], minlength=n_groups)
-        if n_intervals.max() > spec.max_subdivisions:
-            g = int(np.argmax(n_intervals > spec.max_subdivisions))
-            raise QuadratureError(
-                f"quadrature on [{starts[g]}, {ends[g]}] did not converge within "
-                f"{spec.max_subdivisions} subintervals"
-            )
-        a, b, panel, group, span = a[split], b[split], panel[split], group[split], span[split]
+        n_intervals += len(a)
+        if n_intervals > spec.max_subdivisions:
+            raise QuadratureError(f"did not converge within {spec.max_subdivisions} subintervals")
         mid = 0.5 * (a + b)
-        # each group's left halves, then its right halves
-        order = np.argsort(np.concatenate([group, group]), kind="stable")
-        a, b = np.concatenate([a, mid])[order], np.concatenate([mid, b])[order]
-        panel, group = np.concatenate([panel, panel])[order], np.concatenate([group, group])[order]
-        span = np.concatenate([span, span])[order]
+        a, b, panel = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([panel, panel])
 
 
-@dataclass
-class _Tail:
-    """A semi-infinite piece from ``start``: its doubling panels so far, their sum, and where the next one starts."""
+def _range(lo: float, hi: float, spec: QuadratureSpec):
+    """The integral over [lo, hi], either end infinite, as a generator of ``_partition``'s rounds.
 
-    start: float
-    edge: float
-    width: float
-    panels: int = 0
-    total: float = 0.0
-
-    def advance(self) -> float:
-        """The end of the next panel, which starts at ``edge``; the panel after it is twice as wide."""
-        self.edge += self.width
-        self.width *= 2.0
-        return self.edge
-
-    def add(self, values: list[float], spec: QuadratureSpec) -> bool:
-        """Sum the next panels in order; True once one falls below the truncation threshold."""
-        for value in values:
-            if self.panels == spec.max_subdivisions:
-                break
-            self.panels += 1
-            self.total += value
-            scale = max(abs(self.total), spec.abs_tol)
-            # panel n is 2**n times the first one's width, so n >= 3 is width > 4 * max(1, |start|)
-            if self.panels > 3 and abs(value) <= spec.tail_truncation_mass * scale:
-                return True
-        return False
-
-
-def _pieces(lo: float, hi: float) -> list[tuple[float, float, float]]:
-    """[lo, hi] as (sign, start, end) pieces, each the integral over [start, end] of f(sign * node).
-
-    An infinite lower limit is reflected: (-inf, hi] is [-hi, inf) at -node.
-    The whole line is (-inf, 0] then [0, inf); a zero-width range has no piece.
+    The whole line is (-inf, 0] then [0, inf).  A tail is cut into doubling
+    panels from its finite end, [lo, inf) upwards and (-inf, hi] downwards,
+    until one's share of the running total falls to ``rel_tol``; the rule
+    cannot stop before the fourth panel, so the first four are refined
+    together.
     """
-    if lo > hi:
-        raise ValueError("lower must be <= upper")
+    if not lo <= hi:  # so is a NaN limit
+        raise ValueError(f"lower must be <= upper, got [{lo}, {hi}]")
+    if lo == hi:
+        return 0.0
     if math.isinf(lo) and math.isinf(hi):
-        return _pieces(lo, 0.0) + _pieces(0.0, hi)
-    if math.isinf(lo):
-        return [(-1.0, -hi, math.inf)]
-    return [(1.0, lo, hi)] if hi > lo else []
+        left = yield from _range(lo, 0.0, spec)
+        return left + (yield from _range(0.0, hi, spec))
+    if not math.isinf(lo) and not math.isinf(hi):
+        return float((yield from _partition([lo, hi], spec))[0])
+    start, sign = (hi, -1.0) if math.isinf(lo) else (lo, 1.0)
+    step = sign * max(1.0, abs(start))
+    edges = [start]
+    for _ in range(4):
+        edges.append(edges[-1] + step)
+        step *= 2.0
+    pieces = (yield from _partition(edges, spec)).tolist()
+    total = 0.0
+    for n in range(spec.max_subdivisions):
+        if n == len(pieces):
+            edges.append(edges[-1] + step)
+            step *= 2.0
+            pieces.append(float((yield from _partition(edges[-2:], spec))[0]))
+        total += pieces[n]
+        scale = max(abs(total), spec.abs_tol)
+        # panel n is 2**n times the first one's width, so n >= 3 is width > 4 * max(1, |start|)
+        if n >= 3 and abs(pieces[n]) <= spec.rel_tol * scale:
+            return total
+    raise QuadratureError(
+        f"did not decay below the truncation threshold within {spec.max_subdivisions} doubling panels"
+    )
 
 
 def integrate(f: Callable, lower, upper, spec: QuadratureSpec | None = None):
@@ -246,89 +222,53 @@ def integrate(f: Callable, lower, upper, spec: QuadratureSpec | None = None):
     With float limits, ``f`` takes a 1-d array of nodes and returns its
     values there, an array of the same shape (or a scalar, which is
     broadcast), and the integral is a float.  With 1-d arrays of limits (a
-    float broadcasts against an array), every range [lower[i], upper[i]] is
-    refined in one partition and the result is the array of their
-    integrals: ``f(nodes, which)`` then also gets ``which``, the index of
-    each node's range, and each round calls it once, on the nodes of every
-    range still open.  Each range keeps its own tolerance, stopping rule
-    and order of summation, so its integral is bit for bit the one the
-    float call on that range returns.
+    float broadcasts against an array), the result is the array of the
+    integrals over every [lower[i], upper[i]], and ``f(nodes, which)`` also
+    gets ``which``, the index of each node's range.
 
-    A finite range is refined in rounds, one call of ``f`` per round on
-    every open interval.  Semi-infinite tails are handled by doubling panels
-    until the panel contribution falls below ``tail_truncation_mass``
-    relative to the running total, which terminates quickly for the
-    exponentially decaying integrands used here; the rule cannot stop
-    before the fourth panel, so the first four panels of every tail are
-    refined together, with the finite ranges, and each later doubling step
-    refines together the next panel of every tail still open.
-    Non-convergence raises QuadratureError rather than returning a silently
-    wrong value.
+    Every range is refined by the same one-range rule, in lockstep: each
+    round calls ``f`` once, on the 21 nodes of every open interval of every
+    range still open, so a call takes as many rounds as its slowest range
+    alone, and each range's integral is bit for bit the one the float call
+    on it returns.  A semi-infinite range is cut into doubling panels until
+    a panel's share of the running total falls to ``rel_tol``, which ends
+    quickly for the exponentially decaying integrands used here; the first
+    four panels are refined together, then one panel per step.  The whole
+    line refines (-inf, 0] and then [0, inf).  A limit that is NaN, or a
+    lower limit above the upper, raises ValueError before ``f`` is called;
+    non-convergence raises QuadratureError, naming the range as given (and
+    its index, with array limits), rather than returning a silently wrong
+    value.
     """
     spec = spec or QuadratureSpec()
-    if np.ndim(lower) == 0 and np.ndim(upper) == 0:
-        return _integrate_ranges(lambda nodes, which: f(nodes), [float(lower)], [float(upper)], spec)[0]
-    lo, hi = np.broadcast_arrays(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-    if lo.ndim != 1:
-        raise ValueError(f"limits must be floats or 1-d arrays, got shape {lo.shape}")
-    return np.array(_integrate_ranges(f, lo.tolist(), hi.tolist(), spec))
-
-
-def _integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lower: list[float], upper: list[float],
-                      spec: QuadratureSpec) -> list[float]:
-    """The integral over each [lower[i], upper[i]], with ``f(nodes, which)`` as ``integrate`` calls it."""
-    owner, sign, tails = [], [], {}
-    panel_piece, panel_lo, panel_hi = [], [], []  # the panels of the next step, in piece order
-    for i, (lo, hi) in enumerate(zip(lower, upper)):
-        for piece_sign, piece_start, piece_end in _pieces(lo, hi):
-            j = len(owner)
-            owner.append(i)
-            sign.append(piece_sign)
-            if math.isinf(piece_end):
-                tail = tails[j] = _Tail(piece_start, piece_start, max(1.0, abs(piece_start)))
-                for _ in range(4):
-                    panel_piece.append(j)
-                    panel_lo.append(tail.edge)
-                    panel_hi.append(tail.advance())
-            else:
-                panel_piece.append(j)
-                panel_lo.append(piece_start)
-                panel_hi.append(piece_end)
-    owner_arr, sign_arr = np.array(owner, dtype=int), np.array(sign)
-    pieces = [0.0] * len(owner)
-    # each step refines one partition: first every finite piece's one panel and the first four
-    # doubling panels of every tail, then the next panel of every tail still open
-    while panel_piece:
-        members, group = [], []  # each group's piece; each panel's group
-        for j in panel_piece:
-            if not members or members[-1] != j:
-                members.append(j)
-            group.append(len(members) - 1)
-        member_sign, member_owner = sign_arr[members], owner_arr[members]
-        done = _integrate_panels(
-            lambda nodes, g: f(nodes * member_sign[g], member_owner[g]),
-            np.array(panel_lo), np.array(panel_hi), np.array(group), spec,
-        ).tolist()
-        values: dict[int, list[float]] = {}
-        for j, value in zip(panel_piece, done):
-            values.setdefault(j, []).append(value)
-        panel_piece, panel_lo, panel_hi = [], [], []
-        for j, piece_values in values.items():
-            tail = tails.get(j)
-            if tail is None:
-                pieces[j] = piece_values[0]
-            elif tail.add(piece_values, spec):
-                pieces[j] = tail.total
-            elif tail.panels == spec.max_subdivisions:
-                raise QuadratureError(
-                    f"semi-infinite tail from {tail.start} did not decay below the truncation "
-                    f"threshold within {spec.max_subdivisions} doubling panels"
-                )
-            else:
-                panel_piece.append(j)
-                panel_lo.append(tail.edge)
-                panel_hi.append(tail.advance())
-    integrals = [0.0] * len(lower)
-    for i, value in zip(owner, pieces):
-        integrals[i] += value
-    return integrals
+    scalar = np.ndim(lower) == 0 and np.ndim(upper) == 0
+    if scalar:
+        lows, highs, integrand = [float(lower)], [float(upper)], lambda nodes, which: f(nodes)
+    else:
+        lo, hi = np.broadcast_arrays(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+        if lo.ndim != 1:
+            raise ValueError(f"limits must be floats or 1-d arrays, got shape {lo.shape}")
+        lows, highs, integrand = lo.tolist(), hi.tolist(), f
+    integrals = [0.0] * len(lows)
+    ranges = {i: _range(lo, hi, spec) for i, (lo, hi) in enumerate(zip(lows, highs))}
+    received = dict.fromkeys(ranges)  # each range's estimates and gaps from the last round, None before the first
+    while True:
+        wanted = {}  # the intervals of every range still open, by range
+        for i, rule in list(ranges.items()):
+            try:
+                wanted[i] = rule.send(received[i])
+            except StopIteration as stop:
+                integrals[i] = stop.value
+                del ranges[i]
+            except QuadratureError as err:
+                where = f"[{lows[i]}, {highs[i]}]" if scalar else f"range {i}, [{lows[i]}, {highs[i]}],"
+                raise QuadratureError(f"quadrature on {where} {err}") from None
+        if not wanted:
+            return integrals[0] if scalar else np.array(integrals)
+        counts = [len(a) for a, _ in wanted.values()]
+        kronrod, gap = _gk21(integrand, np.concatenate([a for a, _ in wanted.values()]),
+                             np.concatenate([b for _, b in wanted.values()]), np.repeat(list(wanted), counts))
+        end = 0
+        for i, n in zip(wanted, counts):
+            received[i] = kronrod[end:end + n], gap[end:end + n]
+            end += n

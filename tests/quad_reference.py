@@ -3,7 +3,7 @@
 A finite range is one ``scipy.integrate.quad`` call, QUADPACK's own adaptive
 GK21 with its extrapolation.  A semi-infinite range is cut into doubling
 panels, one such call each, until a panel's contribution falls below
-``tail_truncation_mass`` relative to the running total, the panel rule of
+``rel_tol`` relative to the running total, the panel rule of
 ``integrate``.  The integrand is called on Python floats, one node at a time,
 so this shares no code with the array engine it checks.  ``two_tail_price``
 prices the NIG European call through it, from the definition the closed
@@ -65,7 +65,7 @@ def reference_integrate(f, lower, upper, spec: QuadratureSpec | None = None):
         piece = _quad_finite(f, a, b, spec)
         total += piece
         scale = max(abs(total), spec.abs_tol)
-        if abs(piece) <= spec.tail_truncation_mass * scale and width > 4.0 * max(1.0, abs(lo)):
+        if abs(piece) <= spec.rel_tol * scale and width > 4.0 * max(1.0, abs(lo)):
             return total
         a = b
         width *= 2.0

@@ -30,7 +30,7 @@ from levymc.special_fn import QuadratureSpec, integrate
 # equity-style calibration reused across the suite (tiny scale, mild skew)
 NIG_BENCH = NigParams(alpha=81.6, beta=3.69, mu=-0.000123, delta=0.0103)
 
-_LOOSE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=300, tail_truncation_mass=1e-9)
+_LOOSE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=300)
 
 
 def test_nig_params_validation():

@@ -1,5 +1,6 @@
 """Numerical kernel checks: Bessel K through its log, log-gamma, quadrature."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,8 +133,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=1e-10, tail_truncation_mass=1e-9)
 
 
 def test_integrate_constant_on_unit_interval():
@@ -207,7 +206,7 @@ def test_integrate_matches_the_scipy_quad_reference(monkeypatch, compute, tolera
 
 
 def test_integrate_reports_nonconvergence():
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=1, tail_truncation_mass=1e-12)
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=1)
     with pytest.raises(QuadratureError):
         integrate(lambda x: x**-0.9, 1e-12, 1.0, spec)
 
@@ -225,7 +224,7 @@ _RANGES = [(0.0, 1.0), (2.0, 2.0), (0.5, math.inf), (-math.inf, 1.5), (-math.inf
            (-2.0, math.inf), (-1e-3, -1e-3)]
 _RATE = np.array([1.0, 1.0, 0.7, 2.0, 0.5, 0.3, 0.04, 1.0])
 _FREQ = np.array([0.0, 0.0, 3.0, 0.0, 1.0, 25.0, 0.5, 0.0])
-_ARRAY_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400, tail_truncation_mass=1e-11)
+_ARRAY_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400)
 
 
 def _ranges_integrand(x, which):
@@ -276,6 +275,32 @@ def test_integrate_array_limits_call_the_integrand_once_per_round():
     assert calls == [[0, 1, 2, 3, 4]] * len(alone)
 
 
+def test_integrate_array_limits_refine_every_range_in_lockstep():
+    # _RANGES and tails decaying at other rates: the batched call takes as many rounds as its
+    # slowest range alone, and each round calls the integrand on every range still open
+    ranges = _RANGES + [(0.0, math.inf), (1.0, math.inf), (-math.inf, -4.0)]
+    rate, freq = np.append(_RATE, [5.0, 0.01, 0.2]), np.append(_FREQ, [0.0, 0.0, 2.0])
+
+    def integrand(x, which):
+        return np.exp(-rate[which] * np.abs(x)) * (1.0 + np.cos(freq[which] * x))
+
+    rounds = []
+    for i, (lo, hi) in enumerate(ranges):
+        calls = []
+        integrate(lambda x: calls.append(None) or integrand(x, np.full(np.shape(x), i)), lo, hi, _ARRAY_SPEC)
+        rounds.append(len(calls))
+    batched = []
+
+    def recording(x, which):
+        batched.append(np.unique(which).tolist())
+        return integrand(x, which)
+
+    lower, upper = zip(*ranges)
+    integrate(recording, np.array(lower), np.array(upper), _ARRAY_SPEC)
+    assert len(set(rounds)) >= 5
+    assert batched == [[i for i, n in enumerate(rounds) if n > call] for call in range(max(rounds))]
+
+
 def test_integrate_array_limits_skip_zero_width_ranges():
     seen = set()
 
@@ -289,7 +314,7 @@ def test_integrate_array_limits_skip_zero_width_ranges():
 
 
 def test_integrate_array_limits_report_a_range_that_cannot_converge():
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8, tail_truncation_mass=1e-12)
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8)
     singular = lambda x, which: np.where(which == 1, np.abs(x) ** -0.9, np.exp(-x))
     with pytest.raises(QuadratureError, match="did not converge within 8 subintervals"):
         integrate(singular, [0.0, 1e-12], [1.0, 1.0], spec)
@@ -297,6 +322,37 @@ def test_integrate_array_limits_report_a_range_that_cannot_converge():
     flat = lambda x, which: np.where(which == 0, np.exp(-x), 1.0)
     with pytest.raises(QuadratureError, match="did not decay below the truncation threshold within 8"):
         integrate(flat, [0.0, 0.0], math.inf, spec)
+
+
+def test_quadrature_errors_name_the_range_as_given():
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8)
+    flat = lambda x: np.ones_like(x)
+    with pytest.raises(QuadratureError, match=re.escape("on [-inf, 1.5] did not decay below the truncation")):
+        integrate(flat, -math.inf, 1.5, spec)
+    with pytest.raises(QuadratureError, match=re.escape("on [-inf, -3.0] did not decay below the truncation")):
+        integrate(flat, -math.inf, -3.0, spec)
+    # a tail whose third doubling panel holds a singularity: the range is named, not the panel
+    with pytest.raises(QuadratureError, match=re.escape("on [0.0, inf] did not converge within 8 subintervals")):
+        integrate(lambda x: np.abs(x - 5.3) ** -0.9, 0.0, math.inf, spec)
+    # with array limits, the range's index too
+    decaying_but_one = lambda x, which: np.where(which == 1, 1.0, np.exp(-np.abs(x)))
+    with pytest.raises(QuadratureError, match=re.escape("range 1, [-inf, 1.5], did not decay below the truncation")):
+        integrate(decaying_but_one, [0.0, -math.inf], [math.inf, 1.5], spec)
+    singular = lambda x, which: np.where(which == 2, np.abs(x) ** -0.9, np.exp(-x))
+    with pytest.raises(QuadratureError, match=re.escape("range 2, [1e-12, 1.0], did not converge within 8")):
+        integrate(singular, [0.0, 0.0, 1e-12], 1.0, spec)
+
+
+@pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+                                          (-math.inf, math.nan)])
+def test_integrate_rejects_nan_limits_before_calling_the_integrand(lower, upper):
+    def never(x, *which):
+        raise AssertionError("the integrand was called")
+
+    with pytest.raises(ValueError, match="lower must be <= upper"):
+        integrate(never, lower, upper)
+    with pytest.raises(ValueError, match="lower must be <= upper"):
+        integrate(never, [0.0, lower, 1.0], [1.0, upper, math.inf])
 
 
 def test_integrate_array_limits_validate_their_shape_and_order():
