@@ -5,85 +5,18 @@ mean-correcting drift), simulates price paths with exact per-step marginals,
 and prices by discounted Monte Carlo with confidence intervals.  A NIG
 European closed form, one quadrature of the call payoff against the Esscher
 density, serves as the validation benchmark for the simulator.
+
+The package namespace is every name the five library modules export: its
+``__all__`` is theirs, concatenated.  The ``price`` command lives in
+``levymc.cli``, which ``import levymc`` does not load.
 """
-from .levy_models import (
-    NigParams,
-    VgParams,
-    cumulant,
-    nig_cumulant,
-    nig_density,
-    nig_levy_density,
-    vg_cumulant,
-    vg_density,
-    vg_from_mean_variance,
-)
-from .measures import (
-    ESSCHER,
-    MEAN_CORRECT,
-    EsscherSolution,
-    MarketData,
-    MeasureExistenceError,
-    RiskNeutralModel,
-    nig_esscher,
-    risk_neutralize,
-    vg_esscher,
-)
-from .pricing import (
-    ASIAN_CALL,
-    EUROPEAN_CALL,
-    McResult,
-    Payoff,
-    european_call_nig_closed,
-    price_mc,
-    price_paths,
-)
-from .sampling import (
-    PathGrid,
-    PathSet,
-    RngStream,
-    sample_gamma,
-    sample_inverse_gaussian,
-    sample_standard_normal,
-    simulate_paths,
-)
-from .special_fn import QuadratureSpec, integrate, log_gamma
+from . import levy_models, measures, pricing, sampling, special_fn
+from .levy_models import *
+from .measures import *
+from .pricing import *
+from .sampling import *
+from .special_fn import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASIAN_CALL",
-    "ESSCHER",
-    "EUROPEAN_CALL",
-    "EsscherSolution",
-    "MarketData",
-    "McResult",
-    "MeasureExistenceError",
-    "MEAN_CORRECT",
-    "NigParams",
-    "PathGrid",
-    "PathSet",
-    "Payoff",
-    "QuadratureSpec",
-    "RiskNeutralModel",
-    "RngStream",
-    "VgParams",
-    "cumulant",
-    "european_call_nig_closed",
-    "integrate",
-    "log_gamma",
-    "nig_cumulant",
-    "nig_density",
-    "nig_esscher",
-    "nig_levy_density",
-    "price_mc",
-    "price_paths",
-    "risk_neutralize",
-    "sample_gamma",
-    "sample_inverse_gaussian",
-    "sample_standard_normal",
-    "simulate_paths",
-    "vg_cumulant",
-    "vg_density",
-    "vg_esscher",
-    "vg_from_mean_variance",
-]
+__all__ = levy_models.__all__ + measures.__all__ + pricing.__all__ + sampling.__all__ + special_fn.__all__

@@ -25,8 +25,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .levy_models import NigParams, VgParams, vg_from_mean_variance
-from .measures import ESSCHER, MEAN_CORRECT, MarketData, MeasureExistenceError, risk_neutralize
-from .pricing import ASIAN_CALL, EUROPEAN_CALL, McResult, european_call_nig_closed, price_paths
+from .measures import ESSCHER, MEASURES, MarketData, MeasureExistenceError, risk_neutralize
+from .pricing import (ASIAN_CALL, EUROPEAN_CALL, PAYOFF_KINDS, McResult, european_call_nig_closed, price_paths,
+                      simulation_grid)
 from .sampling import MODEL_SCHEMES, SCHEMES, PathGrid, PathSet, simulate_paths
 from .special_fn import QuadratureError
 
@@ -47,7 +48,6 @@ CSV_HEADER = [
     "n_paths", "seed", "price", "std_error", "ci_lo", "ci_hi", "closed_form", "status",
 ]
 
-_PAYOFF_KINDS = (EUROPEAN_CALL, ASIAN_CALL)
 _FIELDS = ("model", "params", "measure", "scheme", "market", "strikes",
            "payoff", "s", "n_paths", "seed", "workers", "out")
 
@@ -71,11 +71,11 @@ class RunConfig:
     market: MarketData
     strikes: tuple[float, ...]
     payoff_kind: str
-    n_steps: int = DEFAULT_N_STEPS
-    n_paths: int = DEFAULT_N_PATHS
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    out: str | None = None
+    n_steps: int
+    n_paths: int
+    seed: int
+    workers: int
+    out: str | None
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     params = _build_params(model, _require(doc, "params", "config"), "config.params")
 
     measures = tuple(
-        _as_choice(m.replace("-", "_") if isinstance(m, str) else m, (ESSCHER, MEAN_CORRECT), "config.measure")
+        _as_choice(m.replace("-", "_") if isinstance(m, str) else m, MEASURES, "config.measure")
         for m in _as_list(doc.get("measure", ESSCHER), "config.measure")
     )
     _reject_repeats(measures, "config.measure")
@@ -216,7 +216,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"config.strikes[{i}]: strike must be >= 0, got {k}")
     _reject_repeats(strikes, "config.strikes")
 
-    payoff_kind = _as_choice(doc.get("payoff", EUROPEAN_CALL), _PAYOFF_KINDS, "config.payoff")
+    payoff_kind = _as_choice(doc.get("payoff", EUROPEAN_CALL), PAYOFF_KINDS, "config.payoff")
 
     n_steps = _as_count(doc.get("s", DEFAULT_N_STEPS), "config.s")
     n_paths = _as_count(doc.get("n_paths", DEFAULT_N_PATHS), "config.n_paths")
@@ -289,18 +289,17 @@ def run_experiment(cfg: RunConfig) -> list[ResultRow]:
     measures' draws are equal under every scheme (``simulate_paths`` raises
     if they differ), and each block draws its variates once and every
     measure builds its paths from them, bit for bit the paths it would get
-    alone.  European rows simulate one step of length T; Asian rows
-    simulate the config's ``s`` monitoring steps.  A measure that fails to
-    exist, or a non-finite price, SE or CI, yields a row whose status says
-    so.  Rows come in (measure, scheme, strike) order.  A NIG European config
-    priced under Esscher fills the ``closed_form`` column of its Esscher rows
-    from one ``european_call_nig_closed`` call on all its strikes; if any
-    strike fails (no measure, or a quadrature that does not converge), the
-    column stays empty for the whole config.
+    alone.  The grid is ``simulation_grid``'s, as in ``price_mc``: European
+    rows simulate one step of length T, Asian rows the config's ``s``
+    monitoring steps.  A measure that fails to exist, or a non-finite price,
+    SE or CI, yields a row whose status says so.  Rows come in (measure,
+    scheme, strike) order.  A NIG European config priced under Esscher fills
+    the ``closed_form`` column of its Esscher rows from one
+    ``european_call_nig_closed`` call on all its strikes; if any strike fails
+    (no measure, or a quadrature that does not converge), the column stays
+    empty for the whole config.
     """
-    # a European payoff reads only the terminal spot, whose law is exact in one step of length T
-    n_steps = 1 if cfg.payoff_kind == EUROPEAN_CALL else cfg.n_steps
-    grid = PathGrid(maturity=cfg.market.T, n_steps=n_steps)
+    grid = simulation_grid(cfg.payoff_kind, PathGrid(cfg.market.T, cfg.n_steps))
     discount = math.exp(-cfg.market.r * cfg.market.T)
 
     closed: dict[float, float] = {}
@@ -487,7 +486,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     if len(rows) == 1 and rows[0].status != "ok":
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,6 +26,7 @@ __all__ = [
     "MeasureExistenceError",
     "ESSCHER",
     "MEAN_CORRECT",
+    "MEASURES",
     "nig_esscher",
     "vg_esscher",
     "risk_neutralize",
@@ -33,6 +34,7 @@ __all__ = [
 
 ESSCHER = "esscher"
 MEAN_CORRECT = "mean_correct"
+MEASURES = (ESSCHER, MEAN_CORRECT)
 
 _RESIDUAL_TOL = 1e-10
 
@@ -189,7 +191,7 @@ def risk_neutralize(model: NigParams | VgParams, market: MarketData, measure: st
     The returned model has the type of ``model``: a VG given as (beta, sigma,
     nu) is a ``VgParams`` already (``vg_from_mean_variance``).
     """
-    if measure not in (ESSCHER, MEAN_CORRECT):
+    if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected {ESSCHER!r} or {MEAN_CORRECT!r}")
 
     if measure == ESSCHER:

@@ -17,13 +17,16 @@ __all__ = [
     "McResult",
     "price_paths",
     "price_mc",
+    "simulation_grid",
     "european_call_nig_closed",
     "EUROPEAN_CALL",
     "ASIAN_CALL",
+    "PAYOFF_KINDS",
 ]
 
 EUROPEAN_CALL = "european_call"
 ASIAN_CALL = "asian_arithmetic_call"
+PAYOFF_KINDS = (EUROPEAN_CALL, ASIAN_CALL)
 
 _TAIL_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-10, max_subdivisions=400)
 
@@ -36,7 +39,7 @@ class Payoff:
     strike: float
 
     def __post_init__(self) -> None:
-        if self.kind not in (EUROPEAN_CALL, ASIAN_CALL):
+        if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if not self.strike >= 0:
             raise ValueError(f"strike must be >= 0, got {self.strike}")
@@ -141,6 +144,11 @@ def price_paths(paths: PathSet, payoff_kind: str, strikes: Sequence[float], disc
     return results
 
 
+def simulation_grid(payoff_kind: str, grid: PathGrid) -> PathGrid:
+    """``grid``, or one step of length T for a European call: it reads only S_T, exact in law in one step."""
+    return PathGrid(grid.maturity, 1) if payoff_kind == EUROPEAN_CALL else grid
+
+
 def price_mc(
     rnm: RiskNeutralModel,
     payoff: Payoff,
@@ -153,12 +161,14 @@ def price_mc(
     """Discounted Monte Carlo price: exp(-r*T) times the mean simulated payoff.
 
     ``simulate_paths`` hands each block of paths to ``price_paths``, which
-    folds it into the strike's result: the pipeline of every CLI row, so a
-    cell's result is bit for bit the matching ``run_experiment`` row's.
-    Deterministic for a fixed seed regardless of worker count.  The payoff
-    reads each path's terminal spot or average; no path and no
-    n_paths-vector is stored.
+    folds it into the strike's result, on ``simulation_grid``'s grid (one
+    step of length T for a European call, whatever ``grid.n_steps``): the
+    pipeline and grid of every CLI row, so a cell's result is bit for bit the
+    matching ``run_experiment`` row's on any grid.  Deterministic for a fixed
+    seed regardless of worker count.  The payoff reads each path's terminal
+    spot or average; no path and no n_paths-vector is stored.
     """
+    grid = simulation_grid(payoff.kind, grid)
     discount = math.exp(-rnm.market.r * grid.maturity)
     results = None
 

@@ -158,14 +158,18 @@ def sample_gamma(rng, shape: float, rate: float, size=None):
 def sample_inverse_gaussian(rng, mean: float, shape: float, size=None):
     """Inverse Gaussian variate(s): E = mean, Var = mean^3 / shape.
 
-    Generated by the one-normal-one-uniform transformation method, so the
-    draw count per variate is constant.
+    The ``ig`` step's own clock: count squared standard normals, then count
+    uniforms (``_ig_clock_draws``), mapped by ``inverse_gaussian_from_draws``,
+    the Michael-Schucany-Haas transformation, so the draw count per variate
+    is constant and this is the sampler the walker runs.
     """
     if not mean > 0:
         raise ValueError(f"mean must be > 0, got {mean}")
     if not shape > 0:
         raise ValueError(f"shape must be > 0, got {shape}")
-    return _as_generator(rng).wald(mean, shape, size)
+    count = 1 if size is None else int(np.prod(size))
+    z = inverse_gaussian_from_draws(*_ig_clock_draws(_as_generator(rng), count), mean, shape)
+    return float(z[0]) if size is None else z.reshape(size)
 
 
 @dataclass(frozen=True)
@@ -249,6 +253,13 @@ def inverse_gaussian_from_draws(v: np.ndarray, u: np.ndarray, mean: float, shape
     return np.divide(mean * mean, x, out=x, where=reject > mean)
 
 
+def _ig_clock_draws(gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """v = nu^2 of count standard normals nu, then count uniforms: ``inverse_gaussian_from_draws``' inputs."""
+    v = gen.standard_normal(count)
+    np.square(v, out=v)
+    return v, gen.random(count)
+
+
 def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     """NIG by inverse Gaussian subordination, exact in law at any step count.
 
@@ -266,9 +277,7 @@ def _ig_step(rnm: RiskNeutralModel, dt: float) -> StepSampler:
     base = (p.mu + rnm.drift_rate) * dt
 
     def draw(gen: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        v = gen.standard_normal(count)
-        np.square(v, out=v)
-        return v, gen.random(count), gen.standard_normal(count)
+        return *_ig_clock_draws(gen, count), gen.standard_normal(count)
 
     def assemble(variates: tuple[np.ndarray, ...], out: np.ndarray) -> None:
         v, u, eps = variates

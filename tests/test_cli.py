@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -79,7 +80,8 @@ def test_parse_error_reports_field_path():
         parse_config("{not json")
     with pytest.raises(ConfigError, match="invalid JSON: Exceeds the limit"):
         parse_config('{"strikes": [' + "1" * 5001 + "]}")  # past Python's integer digit limit
-    for field, value in [("measure", 1), ("measure", None), ("model", ["nig"]), ("params", 5), ("payoff", [])]:
+    for field, value in [("measure", 1), ("measure", None), ("model", ["nig"]), ("params", 5), ("payoff", []),
+                         ("strikes", [34.0, -1.0]), ("out", 5)]:
         with pytest.raises(ConfigError, match=f"config.{field}"):
             parse_config(json.dumps(dict(MINIMAL_NIG, **{field: value})))
     with pytest.raises(ConfigError, match="config.n_path: unknown field"):
@@ -245,9 +247,13 @@ def test_both_vg_spellings_of_one_model_give_the_same_csv(workers):
     (NIG_ASIAN_BOTH_MEASURES, "esscher", PathGrid(1.0 / 12.0, 16)),
     (NIG_ASIAN_BOTH_MEASURES, "mean_correct", PathGrid(1.0 / 12.0, 16)),
     (dict(MINIMAL_NIG, strikes=[34.0, 36.0]), "esscher", PathGrid(1.0 / 12.0, 1)),
-], ids=["nig-asian-esscher", "nig-asian-mean-correct", "nig-european"])
+    (dict(MINIMAL_NIG, strikes=[34.0, 36.0], s=4), "esscher", PathGrid(1.0 / 12.0, 4)),
+    (dict(MINIMAL_NIG, strikes=[34.0, 36.0], s=16), "esscher", PathGrid(1.0 / 12.0, 16)),
+], ids=["nig-asian-esscher", "nig-asian-mean-correct", "nig-european", "nig-european-4-steps",
+        "nig-european-16-steps"])
 def test_price_mc_equals_the_run_experiment_row(doc, measure, grid):
-    # one pipeline behind both entry points: a cell's price_mc result is its row, bit for bit
+    # one pipeline behind both entry points: a cell's price_mc result is its row, bit for bit, on
+    # the config's own grid (a European call simulates one step of length T in both)
     cfg = parse_config(json.dumps(dict(doc, n_paths=BLOCK_SIZE + 5, workers=2)))
     rnm = risk_neutralize(cfg.params, cfg.market, measure)
     for row in (r for r in run_experiment(cfg) if r.measure == measure):
@@ -536,6 +542,14 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         assert "price: error: config.params: lam must be finite and > 0, got inf" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_exits_one(tmp_path, capsys):
+    # a directory cannot be written as the CSV: the error goes to stderr and nothing to stdout
+    assert main(["--preset", "vg-lecuyer", "--paths", "200", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"price: error: [Errno 21] Is a directory: {str(tmp_path)!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_vg_lecuyer_esscher_is_ok(capsys):
     # the VG Esscher tilt solves for every sigma, the small-vol clock included
     assert main(["--preset", "vg-lecuyer", "--paths", "100", "--measure", "esscher"]) == 0
@@ -699,6 +713,16 @@ print(loaded())
     after_import, after_monte_carlo, after_closed_form = done.stdout.splitlines()
     assert after_import == after_monte_carlo == "[]"
     assert after_closed_form == "['scipy.special']"
+
+
+def test_module_entry_point_exits_with_the_code_main_returns(monkeypatch, capsys):
+    # python -m levymc, run in this process: __main__ exits with main's return code
+    monkeypatch.setattr(sys, "argv", ["levymc", "--preset", "vg-lecuyer", "--paths", "200", "--seed", "1"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("levymc", run_name="__main__")
+    assert exited.value.code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == CSV_HEADER and len(rows) == 2
 
 
 def test_module_entry_point_prints_the_csv():

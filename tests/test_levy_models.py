@@ -42,6 +42,8 @@ def test_nig_params_validation():
         NigParams(alpha=1.0, beta=1.0, mu=0.0, delta=1.0)  # |beta| must stay below alpha
     with pytest.raises(ValueError):
         VgParams(x0=0.0, lam=0.0, gamma_rate=1.0, beta=0.0, sigma=1.0)
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        VgParams(x0=0.0, lam=1.0, gamma_rate=1.0, beta=0.0, sigma=0.0)
     with pytest.raises(ValueError):
         vg_from_mean_variance(beta=0.0, sigma=1.0, nu=-0.3)
     # a clock rate must be finite: 1/nu overflows for a subnormal nu
@@ -292,6 +294,14 @@ def test_vg_clock_moments_and_round_trip():
         p = vg_from_mean_variance(beta=0.2, sigma=0.7, nu=nu)
         assert p.lam / p.gamma_rate == pytest.approx(1.0)        # clock mean rate
         assert p.lam / p.gamma_rate**2 == pytest.approx(nu)      # clock variance rate
+
+
+@pytest.mark.parametrize("density, p", [(nig_density, NIG_BENCH), (vg_density, VgParams(0.0, 1.0, 1.0, 0.0, 1.0))],
+                         ids=["nig", "vg"])
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_densities_reject_a_horizon_that_is_not_positive(density, p, t):
+    with pytest.raises(ValueError, match="t must be > 0"):
+        density(p, 0.1, t)
 
 
 def test_densities_nonnegative_on_grid():

@@ -148,9 +148,10 @@ def test_price_mc_zero_strike_recovers_spot():
 
 def test_price_mc_single_path_degenerates():
     rnm = risk_neutralize(NIG_BENCH, MARKET, ESSCHER)
-    grid = PathGrid(MARKET.T, 4)
-    result = price_mc(rnm, Payoff(EUROPEAN_CALL, 0.0), grid, 1, seed=23)
-    expected = math.exp(-MARKET.r * MARKET.T) * simulate_paths(rnm, grid, 1, seed=23).terminal[0]
+    result = price_mc(rnm, Payoff(EUROPEAN_CALL, 0.0), PathGrid(MARKET.T, 4), 1, seed=23)
+    # a European call simulates one step of length T, whatever the grid's step count
+    spot = simulate_paths(rnm, PathGrid(MARKET.T, 1), 1, seed=23).terminal[0]
+    expected = math.exp(-MARKET.r * MARKET.T) * spot
     assert result.estimate == pytest.approx(expected, rel=1e-15)
     assert result.std_error == 0.0
     assert result.ci_lo == result.ci_hi == result.estimate

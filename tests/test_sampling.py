@@ -178,6 +178,27 @@ def test_gamma_rejects_bad_parameters():
         sample_gamma(RngStream(1), shape=1.0, rate=-2.0)
 
 
+def test_inverse_gaussian_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="mean must be > 0"):
+        sample_inverse_gaussian(RngStream(1), mean=0.0, shape=1.0)
+    with pytest.raises(ValueError, match="shape must be > 0"):
+        sample_inverse_gaussian(RngStream(1), mean=1.0, shape=-2.0)
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000, (3, 5)])
+def test_sample_inverse_gaussian_is_the_ig_transform_of_its_streams_draws(size):
+    # the ig step's draws: count squared normals, then count uniforms, mapped by the one transform
+    mean, shape = 1.7, 2.2
+    n = 1 if size is None else int(np.prod(size))
+    gen = RngStream(31, 2).generator()
+    z = inverse_gaussian_from_draws(gen.standard_normal(n) ** 2, gen.random(n), mean, shape)
+    drawn = sample_inverse_gaussian(RngStream(31, 2), mean, shape, size=size)
+    if size is None:
+        assert type(drawn) is float and drawn == z[0]
+    else:
+        assert np.array_equal(drawn, z.reshape(size))
+
+
 def test_inverse_gaussian_moments():
     mean, shape = 1.7, 2.2
     draws = sample_inverse_gaussian(RngStream(5, 0), mean, shape, size=1_000_000)
@@ -297,6 +318,8 @@ def test_scheme_dispatch_compatibility():
         simulate_paths([nig_rnm, vg_rnm], PathGrid(1.0, 2), 10, seed=0, scheme="ig")
     with pytest.raises(ValueError):
         simulate_paths([], PathGrid(1.0, 2), 10, seed=0, scheme="ig")
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        simulate_paths(nig_rnm, PathGrid(1.0, 2), 0, seed=0, scheme="ig")
 
 
 def test_gamma_is_a_scaled_standard_gamma():
